@@ -13,10 +13,15 @@ memoizes the most recent workload's materialized CTA slices (a
 single-entry cache: one workload+scale resident at a time, so memory
 stays bounded at one trace set). Slices and their ops are frozen
 dataclasses and every consumer treats the slice lists as read-only, so
-sharing them across runs cannot change results.
+sharing them across runs cannot change results. The supervisor runs a
+grid's cells grouped by workload (see :mod:`repro.harness.supervisor`),
+so one entry is enough for the memo to hit on every cell of a group;
+:data:`TRACE_MEMO` counts its builds and hits.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.config import (
     SystemConfig,
@@ -55,6 +60,17 @@ def build_system(
     )
 
 
+@dataclass
+class TraceMemoCounts:
+    """Trace-memo outcomes in this process: trace sets built vs reused."""
+
+    builds: int = 0
+    hits: int = 0
+
+
+#: Process-wide trace-memo counters (harness telemetry reads deltas).
+TRACE_MEMO = TraceMemoCounts()
+
 # Most-recent (workload, scale) kernel list with memoizing CTA builders.
 # The key holds a strong reference to the workload spec, so the id() in
 # the comparison tuple can never be recycled while the entry is live.
@@ -67,9 +83,11 @@ def _memoizing_kernels(workload: WorkloadSpec, scale: WorkloadScale) -> list[Ker
     key = (workload, id(workload), scale.name, scale.cta_cap,
            scale.footprint_lines, scale.ops_scale)
     if _last_traces is not None and _last_traces[0] == key:
+        TRACE_MEMO.hits += 1
         return _last_traces[1]
     kernels = [_memoized_work(work) for work in workload.build_kernels(scale)]
     _last_traces = (key, kernels)
+    TRACE_MEMO.builds += 1
     return kernels
 
 
@@ -148,6 +166,7 @@ def run_workload_on(
 
 
 __all__ = [
+    "TRACE_MEMO",
     "build_system",
     "run_workload_on",
     "run_workload_traced",

@@ -11,11 +11,12 @@ strategy exact rather than heuristic:
    maintaining a parallel copy of each driver's loop (which could drift —
    the same bug class the content-addressed config key eliminates).
 2. **Execute** — fan the captured, deduplicated grid out over the
-   supervised worker pool (:mod:`repro.harness.supervisor`); each worker
-   builds a fresh system, runs one simulation, and returns a picklable
-   :class:`RunResult`. The parent merges results into the shared
-   :class:`ExperimentContext` memo cache (and the on-disk cache, if one
-   is attached). The supervisor isolates per-task failures: a crashed,
+   supervised worker pool (:mod:`repro.harness.supervisor`), which runs
+   cells grouped by workload rather than in plan order so the trace
+   memo hits; each worker builds a fresh system, runs one simulation,
+   and returns a picklable :class:`RunResult`. The parent merges
+   results into the shared :class:`ExperimentContext` memo cache (and
+   the on-disk cache, if one is attached). The supervisor isolates per-task failures: a crashed,
    hung, or excepting worker marks only its own cell failed, is retried
    with exponential backoff under a bounded attempt budget, and every
    non-clean run ends with a structured
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.config import SystemConfig
-from repro.core.builder import run_workload_on
+from repro.core.builder import TRACE_MEMO, run_workload_on
 from repro.errors import ExecutionError
 from repro.harness.runner import ExperimentContext
 from repro.metrics.report import RunResult
@@ -99,16 +100,18 @@ def _execute_measured(
     """:func:`_execute_task` plus a per-task harness telemetry sample.
 
     The sample carries the task's wall-clock span (``time.monotonic()``,
-    comparable across processes on Linux) and the
+    comparable across processes on Linux), the
     :data:`~repro.sim.instrumentation.SIM_TALLY` delta the task produced
-    in *this* process. Pool workers ship it back over the supervisor's
-    result pipe so the parent can absorb worker-side run totals and
-    build the study's worker-utilization timeline (see
+    in *this* process, and whether the task built its trace set or
+    reused the trace memo's. Pool workers ship it back over the
+    supervisor's result pipe so the parent can absorb worker-side run
+    totals and build the study's worker-utilization timeline (see
     :mod:`repro.harness.supervisor` and DESIGN.md, "Observability
     contract").
     """
     before = (SIM_TALLY.runs, SIM_TALLY.events, SIM_TALLY.cycles,
               SIM_TALLY.wall_seconds)
+    builds_before = TRACE_MEMO.builds
     t_start = time.monotonic()
     result = _execute_task(task, scale)
     t_end = time.monotonic()
@@ -119,6 +122,7 @@ def _execute_measured(
         "events": SIM_TALLY.events - before[1],
         "cycles": SIM_TALLY.cycles - before[2],
         "sim_wall_seconds": SIM_TALLY.wall_seconds - before[3],
+        "trace_built": TRACE_MEMO.builds > builds_before,
     }
     return result, sample
 

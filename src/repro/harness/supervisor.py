@@ -37,6 +37,16 @@ worker crashes surface as :class:`~repro.harness.faults.InjectedCrash`
 and timeouts via ``SIGALRM`` — so ``--jobs 1`` and ``--jobs N`` produce
 identical failure reports for the same fault plan.
 
+Execution order is workload-affine, not plan order: the serial loop runs
+cells grouped by workload (groups in order of first appearance, plan
+order inside a group), and an idle pool worker takes the first ready
+task of the workload it last ran, else the first ready task. CTA traces
+depend only on the workload and scale, so this keeps the single-entry
+trace memo in :mod:`repro.core.builder` hitting. A task's ``index`` is
+still its plan position, so fault plans (``crash_nth`` and friends),
+``FailureReport.tasks`` order and journal keys do not depend on the
+execution order.
+
 SIGINT/SIGTERM stop a run gracefully in either mode: the first signal
 kills in-flight workers and finalizes the report with
 ``interrupted=True`` and the in-flight tasks listed as unfinished, so
@@ -275,7 +285,8 @@ def _new_telemetry(mode: str) -> dict:
     return {
         "mode": mode,
         "workers": {},
-        "totals": {"runs": 0, "events": 0, "cycles": 0, "wall_seconds": 0.0},
+        "totals": {"runs": 0, "events": 0, "cycles": 0, "wall_seconds": 0.0,
+                   "trace_builds": 0, "trace_hits": 0},
     }
 
 
@@ -289,6 +300,8 @@ def _record_telemetry(telemetry: dict, worker_id: str, key: str,
     its executing process. Per-task ``wall_seconds`` here is the *engine
     drain* wall clock (the RunTally semantics), while ``t_start`` /
     ``t_end`` bound the whole task including system construction.
+    ``trace_built`` says whether the task built its trace set (a memo
+    miss) or reused the one its process already held.
     """
     workers = telemetry["workers"]
     record = workers.get(worker_id)
@@ -306,9 +319,11 @@ def _record_telemetry(telemetry: dict, worker_id: str, key: str,
         "events": sample["events"],
         "cycles": sample["cycles"],
         "wall_seconds": sample["sim_wall_seconds"],
+        "trace_built": sample["trace_built"],
     })
     tally = record["tally"]
     totals = telemetry["totals"]
+    totals["trace_builds" if sample["trace_built"] else "trace_hits"] += 1
     for name in ("runs", "events", "cycles"):
         tally[name] += sample[name]
         totals[name] += sample[name]
@@ -381,6 +396,36 @@ class _TaskState:
     ready_at: float = 0.0
     done: bool = False
     failed: bool = False
+
+
+def _grouped_by_workload(states: Sequence[_TaskState]) -> list[_TaskState]:
+    """Serial execution order: plan order, stably grouped by workload.
+
+    Groups come in order of each workload's first appearance, so every
+    cell of a group after the first reuses the trace memo's entry.
+    """
+    groups: dict[str, list[_TaskState]] = {}
+    for state in states:
+        groups.setdefault(state.task.workload, []).append(state)
+    return [state for group in groups.values() for state in group]
+
+
+def _next_ready(waiting: Sequence[_TaskState], workload: str | None,
+                now: float) -> int | None:
+    """Index in ``waiting`` of the task an idle pool worker takes next.
+
+    The first ready task of ``workload`` (the one the worker last ran,
+    whose traces its memo holds), else the first ready task; None when
+    nothing is ready.
+    """
+    first = None
+    for i, state in enumerate(waiting):
+        if state.ready_at <= now:
+            if state.task.workload == workload:
+                return i
+            if first is None:
+                first = i
+    return first
 
 
 def _record_failure(state: _TaskState, outcome: str, detail: str,
@@ -513,7 +558,7 @@ def _run_serial(states: list[_TaskState], scale: WorkloadScale,
 
     total = len(states)
     done_count = 0
-    for state in states:
+    for state in _grouped_by_workload(states):
         while not state.done and not state.failed:
             if interrupt:
                 report.executed = done_count
@@ -607,7 +652,7 @@ def _worker_main(conn, scale: WorkloadScale) -> None:
 class _WorkerHandle:
     """One supervised worker process and its dedicated dispatch pipe."""
 
-    __slots__ = ("conn", "proc", "state", "deadline")
+    __slots__ = ("conn", "proc", "state", "deadline", "workload")
 
     def __init__(self, mp_context, scale: WorkloadScale, name: str) -> None:
         parent_conn, child_conn = mp_context.Pipe()
@@ -622,9 +667,12 @@ class _WorkerHandle:
         self.conn = parent_conn
         self.state: _TaskState | None = None
         self.deadline: float | None = None
+        #: workload of the last task dispatched here (its trace memo's).
+        self.workload: str | None = None
 
     def dispatch(self, state: _TaskState, timeout: float | None) -> None:
         self.state = state
+        self.workload = state.task.workload
         self.deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
@@ -683,11 +731,7 @@ def _run_pool(states: list[_TaskState], scale: WorkloadScale, jobs: int,
                 for worker in list(workers):
                     if worker.state is not None:
                         continue
-                    ready_index = next(
-                        (i for i, s in enumerate(waiting)
-                         if s.ready_at <= now),
-                        None,
-                    )
+                    ready_index = _next_ready(waiting, worker.workload, now)
                     if ready_index is None:
                         break
                     state = waiting.pop(ready_index)

@@ -34,8 +34,16 @@ LRU and a short walk from the LRU end for the partitioned class-LRU
 scans — no 16-way timestamp pass per fill. This is exactly equivalent to
 the previous global-tick scheme: ticks were strictly increasing and
 unique per touch, so ascending-timestamp order *is* list order, and the
-first-minimal tie-break cannot trigger. Invalid frames are never linked;
-the "first invalid frame in set order" rule keeps its explicit scan.
+first-minimal tie-break cannot trigger. Invalid frames are never linked.
+
+Frames are allocated per way, on demand: a set starts as its recency
+sentinel plus ``n_ways`` empty (``None``) slots, and a slot gets its
+frame the first time a fill lands there. A fill into a set that is not
+full takes the lowest-index slot holding no valid line — an invalid
+frame, or an empty slot whose frame it builds — which is exactly the
+frame the "first invalid frame in set order" rule picked when sets were
+allocated whole. Most sets of a short run, or of a many-socket fabric,
+hold a few lines, so most frames are never built.
 """
 
 from __future__ import annotations
@@ -92,14 +100,14 @@ class _Way:
 
     __slots__ = ("line", "cls", "dirty", "home", "prev", "nxt", "sent")
 
-    def __init__(self) -> None:
+    def __init__(self, sent: "_Way | None" = None) -> None:
         self.line: int | None = None
         self.cls = 0  # NumaClass.LOCAL.value
         self.dirty = False
         self.home = -1
         self.prev: "_Way | None" = None
         self.nxt: "_Way | None" = None
-        self.sent: "_Way | None" = None
+        self.sent = sent
 
 
 class SetAssocCache:
@@ -181,10 +189,11 @@ class SetAssocCache:
         self.n_sets = config.n_sets
         self.n_ways = config.ways
         self.line_size = config.line_size
-        # Way frames are allocated lazily, one set at a time on first
-        # fill: constructing every frame up front cost more than short
-        # runs ever touched (a fresh system is built per simulation).
-        self._sets: list[list[_Way] | None] = [None] * self.n_sets
+        # Sets are allocated on first fill and build one frame per way
+        # on demand (see _free_frame): constructing every frame up front
+        # cost more than short runs ever touched (a fresh system is
+        # built per simulation).
+        self._sets: list[list[_Way | None] | None] = [None] * self.n_sets
         self._where: dict[int, _Way] = {}
         # line -> set index is `line % n_sets`; a power-of-two set count
         # (every Table 1 geometry) reduces that to a bit mask.
@@ -192,7 +201,7 @@ class SetAssocCache:
             self.n_sets - 1 if self.n_sets & (self.n_sets - 1) == 0 else None
         )
         # Valid frames per set: a full set (the steady state) skips the
-        # invalid-frame scan and takes the LRU list head in O(1). The
+        # free-frame search and takes the LRU list head in O(1). The
         # per-class split (local/remote) gives the partitioned victim
         # scan its occupancy test without a counting pass over the set.
         self._set_valid = [0] * self.n_sets
@@ -378,7 +387,8 @@ class SetAssocCache:
             cache_set = self._alloc_set(set_idx)
         # Hot victim cases inlined from _choose_victim: a full
         # unpartitioned set takes the LRU head; a partitioned set whose
-        # incoming class is at/over quota takes that class's LRU frame.
+        # incoming class is at/over quota takes that class's LRU frame;
+        # any other set that is not full takes a free frame.
         if self.partitioned:
             count_own = (
                 self._set_remote[set_idx] if cls else self._set_local[set_idx]
@@ -387,12 +397,14 @@ class SetAssocCache:
                 victim = self._lru[set_idx].nxt
                 while victim.cls != cls:
                     victim = victim.nxt
+            elif self._set_valid[set_idx] < self.n_ways:
+                victim = self._free_frame(cache_set, set_idx)
             else:
                 victim = self._choose_victim(cache_set, set_idx, cls)
         elif self._set_valid[set_idx] == self.n_ways:
             victim = self._lru[set_idx].nxt
         else:
-            victim = self._choose_victim(cache_set, set_idx, cls)
+            victim = self._free_frame(cache_set, set_idx)
         packed = -1
         vline = victim.line
         if vline is not None:
@@ -458,12 +470,14 @@ class SetAssocCache:
                 victim = self._lru[set_idx].nxt
                 while victim.cls != cls:
                     victim = victim.nxt
+            elif self._set_valid[set_idx] < self.n_ways:
+                victim = self._free_frame(cache_set, set_idx)
             else:
                 victim = self._choose_victim(cache_set, set_idx, cls)
         elif self._set_valid[set_idx] == self.n_ways:
             victim = self._lru[set_idx].nxt
         else:
-            victim = self._choose_victim(cache_set, set_idx, cls)
+            victim = self._free_frame(cache_set, set_idx)
         vline = victim.line
         if vline is not None:
             del where[vline]
@@ -496,17 +510,32 @@ class SetAssocCache:
     # ------------------------------------------------------------------
     # recency-list plumbing
     # ------------------------------------------------------------------
-    def _alloc_set(self, set_idx: int) -> list[_Way]:
-        """Lazily allocate one set's frames and recency sentinel."""
-        cache_set = self._sets[set_idx] = [_Way() for _ in range(self.n_ways)]
+    def _alloc_set(self, set_idx: int) -> list[_Way | None]:
+        """Allocate one set: its recency sentinel and empty way slots."""
+        cache_set: list[_Way | None] = [None] * self.n_ways
+        self._sets[set_idx] = cache_set
         sent = _Way()
         sent.cls = -1  # never matches a class-LRU walk
         sent.prev = sent
         sent.nxt = sent
         self._lru[set_idx] = sent
-        for way in cache_set:
-            way.sent = sent
         return cache_set
+
+    def _free_frame(self, cache_set: list[_Way | None], set_idx: int) -> _Way:
+        """The frame a fill into a not-full set takes.
+
+        The lowest-index way holding no valid line: an invalid frame, or
+        an empty slot, whose frame is built here — the same way a scan
+        for the first invalid frame of a whole, pre-built set finds.
+        """
+        i = 0
+        for way in cache_set:
+            if way is None:
+                way = cache_set[i] = _Way(self._lru[set_idx])
+                return way
+            if way.line is None:
+                return way
+            i += 1
 
     def _touch(self, way: _Way) -> None:
         """Move a valid frame to the MRU end of its set's recency list."""
@@ -548,7 +577,7 @@ class SetAssocCache:
             if cache_set is None:
                 continue
             for way in cache_set:
-                if way.line is None:
+                if way is None or way.line is None:
                     continue
                 if way.cls:
                     remote[set_idx] += 1
@@ -557,7 +586,8 @@ class SetAssocCache:
         self._set_local = local
         self._set_remote = remote
 
-    def _choose_victim(self, cache_set: list[_Way], set_idx: int, incoming: int) -> _Way:
+    def _choose_victim(self, cache_set: list[_Way | None], set_idx: int,
+                       incoming: int) -> _Way:
         """Pick the frame to replace for an incoming line of class ``incoming``.
 
         The recency list makes the steady state O(1): a full
@@ -568,12 +598,9 @@ class SetAssocCache:
         ascending-timestamp scans — see the module docstring.
         """
         if not self.partitioned:
-            if self._set_valid[set_idx] == self.n_ways:
-                return self._lru[set_idx].nxt
-            for way in cache_set:
-                if way.line is None:
-                    return way
-            return self._lru[set_idx].nxt  # pragma: no cover - guard
+            if self._set_valid[set_idx] < self.n_ways:
+                return self._free_frame(cache_set, set_idx)
+            return self._lru[set_idx].nxt
         if incoming:
             count_own = self._set_remote[set_idx]
             count_other = self._set_local[set_idx]
@@ -588,13 +615,11 @@ class SetAssocCache:
                 way = way.nxt
             return way
         if self._set_valid[set_idx] < self.n_ways:
-            for way in cache_set:
-                if way.line is None:
-                    return way
+            return self._free_frame(cache_set, set_idx)
         other = 1 - incoming
         if count_other > self._quota[other]:
-            # The set is full here (no invalid frame was found above), so
-            # every way is linked and the class test alone suffices.
+            # The set is full here, so every way is linked and the class
+            # test alone suffices.
             way = self._lru[set_idx].nxt
             while way.cls != other:
                 way = way.nxt
@@ -620,7 +645,7 @@ class SetAssocCache:
             if cache_set is None or not set_valid[set_idx]:
                 continue
             for way in cache_set:
-                if way.line is None:
+                if way is None or way.line is None:
                     continue
                 count += 1
                 if way.dirty:
@@ -677,7 +702,7 @@ class SetAssocCache:
             if cache_set is None or not set_valid[set_idx]:
                 continue
             for way in cache_set:
-                if way.line is None or way.cls != cls:
+                if way is None or way.line is None or way.cls != cls:
                     continue
                 count += 1
                 if way.dirty:
@@ -748,17 +773,18 @@ class SetAssocCache:
 
         Each allocated set serializes as ``[set_idx, frames, order]``
         where ``frames`` lists one entry per way in set order — ``None``
-        for an invalid frame (normalizing any stale tag metadata so a
-        restored cache re-snapshots byte-identically) or ``[line, cls,
-        dirty]`` for a valid one — and ``order`` lists the valid frame
-        indices LRU -> MRU as read off the recency list.
+        for an empty slot or an invalid frame (normalizing any stale tag
+        metadata so a restored cache re-snapshots byte-identically) or
+        ``[line, cls, dirty]`` for a valid one — and ``order`` lists the
+        valid frame indices LRU -> MRU as read off the recency list.
         """
         sets = []
         for set_idx, cache_set in enumerate(self._sets):
             if cache_set is None:
                 continue
             frames = [
-                None if way.line is None else [way.line, way.cls, way.dirty]
+                None if way is None or way.line is None
+                else [way.line, way.cls, way.dirty]
                 for way in cache_set
             ]
             order = []
@@ -783,7 +809,8 @@ class SetAssocCache:
 
         Rebuilds the tag index, relinks the recency lists in the captured
         order, and recomputes per-set validity/class occupancy from the
-        frames — none of that is serialized.
+        frames — none of that is serialized. Only valid frames are
+        rebuilt; the other ways restore as empty slots.
         """
         counters = dict((key, value) for key, value in state["counters"])
         for attr, key in self._STAT_FIELDS:
@@ -798,10 +825,12 @@ class SetAssocCache:
         self._set_remote = [0] * self.n_sets
         for set_idx, frames, order in state["sets"]:
             cache_set = self._alloc_set(set_idx)
-            for way, frame in zip(cache_set, frames):
+            sent = self._lru[set_idx]
+            for frame_idx, frame in enumerate(frames):
                 if frame is None:
                     continue
                 line, cls, dirty = frame
+                way = cache_set[frame_idx] = _Way(sent)
                 way.line = int(line)
                 way.cls = int(cls)
                 way.dirty = bool(dirty)
@@ -811,7 +840,6 @@ class SetAssocCache:
                     self._set_remote[set_idx] += 1
                 else:
                     self._set_local[set_idx] += 1
-            sent = self._lru[set_idx]
             for frame_idx in order:
                 way = cache_set[frame_idx]
                 p = sent.prev

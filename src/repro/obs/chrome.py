@@ -199,6 +199,9 @@ def study_to_chrome(telemetry):
             )
     totals = dict(telemetry.get("totals", {}))
     wall = totals.pop("wall_seconds", None)
+    # Trace-memo outcomes depend on which worker ran which task.
+    totals.pop("trace_builds", None)
+    totals.pop("trace_hits", None)
     metadata = {
         "trace_schema": TRACE_SCHEMA,
         "clock": "wall-us",

@@ -338,7 +338,8 @@ class MultiHopFabric:
         programs were compiled from, over the *effective* per-edge links
         (so ``DOUBLED`` provisioning is visible to the locality layer).
         """
-        return DistanceModel.from_spec(self.spec, self._edge_links)
+        return DistanceModel.from_spec(self.spec, self._edge_links,
+                                       routes=self.routes)
 
     # ------------------------------------------------------------------
     # snapshot / restore (DESIGN.md, "Snapshot & resume contract")

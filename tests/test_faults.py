@@ -403,3 +403,44 @@ def test_signal_handlers_are_restored_after_the_run(ctx):
     assert report.ok() and not report.interrupted
     assert (signal.getsignal(signal.SIGINT),
             signal.getsignal(signal.SIGTERM)) == before
+
+
+# ---------------------------------------------------------------------------
+# fault-plan indices are plan positions, whatever the execution order
+# ---------------------------------------------------------------------------
+
+#: figure3 then figure10 over SUBSET: 10 tasks planned A*4 B*4 A B, so
+#: the grouped execution order (A*5 B*5) differs from plan order.
+INTERLEAVED = [
+    lambda c: exp.figure3(c, workloads=SUBSET),
+    lambda c: exp.figure10(c, workloads=SUBSET),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fault_plan_fires_on_plan_positions_in_grouped_order(monkeypatch,
+                                                             jobs):
+    activate(monkeypatch, "crash_nth=1,8;transient_nth=5")
+    ctx = ExperimentContext(sms_per_socket=2, scale=MICRO)
+    plan = capture_plan(ctx, INTERLEAVED)
+    assert [t.workload for t in plan][8:] == list(SUBSET)
+    runner = ParallelRunner(
+        ctx, jobs=jobs, policy=RetryPolicy(max_retries=1, base_delay=0.01)
+    )
+    runner.prewarm(plan)
+    report = runner.report
+    assert report.ok() and report.executed == len(plan)
+    # report.tasks stays in plan order and names the planned cells.
+    assert [t.index for t in report.tasks] == [1, 5, 8]
+    assert [t.key for t in report.tasks] == [
+        task_key(plan[i], MICRO.name) for i in (1, 5, 8)
+    ]
+    assert [t.outcomes() for t in report.tasks] == [
+        ["crash", "ok"], ["error", "ok"], ["crash", "ok"],
+    ]
+    # Recovered results and figures equal a fault-free plan-order run.
+    monkeypatch.delenv(FAULT_PLAN_ENV)
+    ref = ExperimentContext(sms_per_socket=2, scale=MICRO)
+    figures = [driver(ref) for driver in INTERLEAVED]
+    assert ctx._cache == ref._cache
+    assert [driver(ctx) for driver in INTERLEAVED] == figures

@@ -186,9 +186,10 @@ def test_tracer_caps_each_kind_with_exact_drop_counts():
     assert tracer.to_dict()["dropped"] == {"fabric": 7}
 
 
-def _fake_telemetry(t0, dur=1.5):
+def _fake_telemetry(t0, dur=1.5, built=True):
     task = {"key": "Rodinia-BFS|0", "t_start": t0, "t_end": t0 + dur,
-            "runs": 1, "events": 100, "cycles": 50, "wall_seconds": dur}
+            "runs": 1, "events": 100, "cycles": 50, "wall_seconds": dur,
+            "trace_built": built}
     return {
         "mode": "pool",
         "workers": {"repro-supervised-0": {
@@ -197,13 +198,16 @@ def _fake_telemetry(t0, dur=1.5):
                       "wall_seconds": dur},
         }},
         "totals": {"runs": 1, "events": 100, "cycles": 50,
-                   "wall_seconds": dur},
+                   "wall_seconds": dur, "trace_builds": int(built),
+                   "trace_hits": int(not built)},
     }
 
 
 def test_study_trace_strips_to_deterministic_remainder():
     first = study_to_chrome(_fake_telemetry(10.0, dur=1.5))
-    second = study_to_chrome(_fake_telemetry(99.5, dur=0.3))
+    # Another study: other wall clocks, and another trace-memo outcome
+    # (which worker ran the task decides whether its traces were held).
+    second = study_to_chrome(_fake_telemetry(99.5, dur=0.3, built=False))
     validate_chrome_trace(first)
     assert first != second  # wall-clock durations differ...
     stripped = strip_wall_clock(first)

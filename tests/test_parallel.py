@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import scaled_config
+from repro.core import builder
 from repro.harness import experiments as exp
 from repro.harness.diskcache import ResultDiskCache
 from repro.harness.parallel import (
@@ -14,6 +16,7 @@ from repro.harness.parallel import (
     resolve_jobs,
 )
 from repro.harness.runner import ExperimentContext
+from repro.harness.supervisor import _next_ready, _TaskState
 from repro.metrics.export import (
     result_from_json_dict,
     result_to_json_dict,
@@ -135,6 +138,84 @@ def test_parallel_prewarm_matches_serial_bit_for_bit(ctx):
         for r in f3_p.rows
     ]
     assert serial_results[1].per_workload == parallel_results[1].per_workload
+
+
+# ---------------------------------------------------------------------------
+# workload-affine execution order and trace-memo telemetry
+# ---------------------------------------------------------------------------
+
+TRIO = ("Lonestar-SP", "Rodinia-Hotspot", "Rodinia-BFS")
+
+#: figure3 then figure10 over TRIO: 15 tasks planned A*4 B*4 C*4 A B C.
+INTERLEAVED = [
+    lambda c: exp.figure3(c, workloads=TRIO),
+    lambda c: exp.figure10(c, workloads=TRIO),
+]
+
+
+@pytest.fixture()
+def cold_trace_memo(monkeypatch):
+    """No test starts with (or leaks) the previous test's trace set."""
+    monkeypatch.setattr(builder, "_last_traces", None)
+
+
+def _plan_order_reference():
+    """Figures and results of the INTERLEAVED drivers run in plan order."""
+    ref = ExperimentContext(sms_per_socket=2, scale=MICRO)
+    figures = [driver(ref) for driver in INTERLEAVED]
+    return figures, ref._cache
+
+
+def test_serial_grid_builds_one_trace_set_per_workload(ctx, cold_trace_memo):
+    plan = capture_plan(ctx, INTERLEAVED)
+    workloads = [t.workload for t in plan]
+    assert workloads[12:] == list(TRIO)  # interleaved: each recurs
+    runner = ParallelRunner(ctx, jobs=1)
+    runner.prewarm(plan)
+    telemetry = runner.report.telemetry
+    assert telemetry["totals"]["trace_builds"] == len(TRIO)
+    assert telemetry["totals"]["trace_hits"] == len(plan) - len(TRIO)
+    samples = telemetry["workers"]["serial"]["tasks"]
+    # Executed grouped by workload, groups in first-appearance order.
+    executed = [s["key"].split("@")[0] for s in samples]
+    assert executed == sorted(workloads, key=TRIO.index)
+    assert [s["trace_built"] for s in samples] == [
+        i in (0, 5, 10) for i in range(len(plan))
+    ]
+    # Same results and figures as running the plan in its own order.
+    figures, cache = _plan_order_reference()
+    assert ctx._cache == cache
+    assert [driver(ctx) for driver in INTERLEAVED] == figures
+
+
+def test_pool_grid_builds_at_most_one_trace_set_per_worker_and_workload(
+        ctx, cold_trace_memo):
+    plan = capture_plan(ctx, INTERLEAVED)
+    runner = ParallelRunner(ctx, jobs=2)
+    runner.prewarm(plan)
+    totals = runner.report.telemetry["totals"]
+    assert totals["trace_builds"] <= 2 * len(TRIO)
+    assert totals["trace_builds"] + totals["trace_hits"] == len(plan)
+    figures, cache = _plan_order_reference()
+    assert ctx._cache == cache
+    assert [driver(ctx) for driver in INTERLEAVED] == figures
+
+
+def test_idle_worker_prefers_its_last_workload():
+    config = scaled_config()
+    waiting = [
+        _TaskState(index=i, task=RunTask(name, config), key=str(i))
+        for i, name in enumerate(("A", "B", "A", "B"))
+    ]
+    assert _next_ready(waiting, "B", now=0.0) == 1
+    assert _next_ready(waiting, None, now=0.0) == 0
+    assert _next_ready(waiting, "C", now=0.0) == 0
+    # A task waiting out its retry backoff is not ready yet.
+    waiting[1].ready_at = 5.0
+    assert _next_ready(waiting, "B", now=0.0) == 3
+    for state in waiting:
+        state.ready_at = 5.0
+    assert _next_ready(waiting, "B", now=0.0) is None
 
 
 def test_prewarm_skips_cached_tasks(ctx):
