@@ -83,10 +83,9 @@ PROBE_WORKLOADS = ("Rodinia-BFS", "Rodinia-Hotspot", "ML-AlexNet-cudnn-Lev2")
 PROBE_ARCHES = (CacheArch.MEM_SIDE, CacheArch.NUMA_AWARE)
 
 #: The multi-hop probe leg: the same three behaviour profiles on one
-#: routed fabric, so the hop programs of ``repro.topology.fabric`` (not
-#: just the crossbar fast path) sit under the throughput gate. A
-#: 4-socket ring is the smallest shape with >1-hop routes in every
-#: routing table.
+#: routed fabric, so hop programs longer than the crossbar's two hops
+#: sit under the throughput gate. A 4-socket ring is the smallest shape
+#: with >1-hop routes in every routing table.
 MULTIHOP_TOPOLOGY = "ring"
 MULTIHOP_SOCKETS = 4
 

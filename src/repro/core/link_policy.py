@@ -12,9 +12,9 @@ Three policies from the paper's evaluation:
 * ``DOUBLED`` — statically doubled per-lane bandwidth, Figure 6's red
   upper-bound bars.
 
-``DOUBLED`` is applied at configuration time (see
-:func:`effective_link_config` / :func:`effective_edge_link`); the other
-two differ only in whether balancers are instantiated.
+``DOUBLED`` is applied when the fabric is built (see
+:func:`effective_edge_link`); the other two differ only in whether
+balancers are instantiated.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ def effective_edge_link(config: SystemConfig, link: LinkConfig) -> LinkConfig:
     return link
 
 
-def effective_link_config(config: SystemConfig) -> LinkConfig:
-    """The per-socket LinkConfig actually built (DOUBLED-aware)."""
-    return effective_edge_link(config, config.link)
-
-
 def build_balancers(
     config: SystemConfig,
     fabric,
@@ -47,10 +42,10 @@ def build_balancers(
 ) -> list[LinkBalancer]:
     """Instantiate per-link balancers when the policy calls for them.
 
-    ``fabric`` is any Fabric (crossbar :class:`~repro.interconnect.switch.Switch`
-    or :class:`~repro.topology.fabric.MultiHopFabric`) or ``None``; its
-    ``balancer_links`` property names the duplex links the dynamic
-    policy manages — socket links on the crossbar, edges elsewhere.
+    ``fabric`` is the system's :class:`~repro.topology.fabric.MultiHopFabric`
+    or ``None``; its ``balancer_links`` property names the duplex links
+    the dynamic policy manages: one edge per socket link on the
+    crossbar, every edge elsewhere.
 
     ``monitor_only`` balancers sample and record utilization timelines but
     never turn lanes — used to capture Figure 5 on the static baseline.

@@ -1,9 +1,11 @@
-"""A GPU-to-switch duplex link built from individually reversible lanes.
+"""A duplex link built from individually reversible lanes.
 
 Table 1: 8 lanes per direction, 8 GB/s per lane, 128-cycle latency. The
 paper's Section 4 proposal replaces unidirectional lanes with bidirectional
 ones so a link load balancer can *turn* a lane from an underutilized
-direction to a saturated one at runtime.
+direction to a saturated one at runtime. Every fabric edge is one of these
+links (:class:`repro.topology.fabric.EdgeLink`); on the paper's crossbar
+each socket's edge to the central switch is its GPU-to-switch link.
 
 Modelling choices (documented in DESIGN.md):
 
@@ -15,10 +17,11 @@ Modelling choices (documented in DESIGN.md):
   direction receives the lane only after ``switch_time`` cycles (the
   quiesce + resynchronization window).
 
-Hot-path notes: :meth:`DuplexLink.transfer` runs twice per switch packet,
-so per-direction state lives in plain attributes selected by an ``is``
-check on the direction (no enum-keyed dict hashing) and byte/packet
-counters are slotted ints flattened into ``stats`` on read.
+Hot-path notes: per-direction state lives in plain attributes selected by
+an ``is`` check on the direction (no enum-keyed dict hashing). The byte
+and packet counters are reads of the direction's bandwidth server, which
+every admission already updates; lane counters are slotted ints. All are
+flattened into ``stats`` on read.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ register(__name__, "_obs_lane_reset", "lane_reset")
 
 
 class Direction(enum.Enum):
-    """Traffic direction relative to the GPU socket."""
+    """Traffic direction along a link, relative to its ``a`` end."""
 
-    EGRESS = "egress"  # GPU -> switch
-    INGRESS = "ingress"  # switch -> GPU
+    EGRESS = "egress"  # a -> b: GPU -> switch on the crossbar
+    INGRESS = "ingress"  # b -> a: switch -> GPU on the crossbar
 
     @property
     def other(self) -> "Direction":
@@ -53,7 +56,7 @@ class Direction(enum.Enum):
 
 
 class DuplexLink:
-    """One socket's link to the switch, with dynamic lane assignment."""
+    """One duplex link with dynamic lane assignment."""
 
     __slots__ = (
         "socket_id",
@@ -61,7 +64,6 @@ class DuplexLink:
         "engine",
         "latency",
         "label",
-        "owner",
         "_lanes_egress",
         "_lanes_ingress",
         "_res_egress",
@@ -69,15 +71,12 @@ class DuplexLink:
         "windows",
         "_stats",
         "_pending_turns",
-        "n_egress_bytes",
-        "n_ingress_bytes",
-        "n_egress_packets",
-        "n_ingress_packets",
         "n_lane_turns",
         "n_symmetric_resets",
     )
 
-    #: slotted counter -> public stats key (see repro.sim.stats).
+    #: counter -> public stats key (see repro.sim.stats); the traffic
+    #: counters are properties over the bandwidth servers.
     _STAT_FIELDS = (
         ("n_egress_bytes", "egress_bytes"),
         ("n_ingress_bytes", "ingress_bytes"),
@@ -98,13 +97,9 @@ class DuplexLink:
         self.config = config
         self.engine = engine
         self.latency = config.latency
-        #: display/series name; stays ``link<id>`` for socket links so
-        #: timeline names are unchanged, while topology edges override it
-        #: with their edge name (e.g. ``gpu0-gpu1``).
+        #: display/series name: ``link<id>`` unless the fabric names the
+        #: edge (e.g. ``gpu0-gpu1``).
         self.label = label if label is not None else f"link{socket_id}"
-        #: back-reference to the owning GpuSocket, wired by the system
-        #: builder; used by peers to deliver packets.
-        self.owner = None
         self._lanes_egress = config.lanes_per_direction
         self._lanes_ingress = config.lanes_per_direction
         rate = config.lanes_per_direction * config.lane_bandwidth
@@ -116,10 +111,6 @@ class DuplexLink:
         }
         self._stats = StatGroup(self.label)
         self._pending_turns = 0
-        self.n_egress_bytes = 0
-        self.n_ingress_bytes = 0
-        self.n_egress_packets = 0
-        self.n_ingress_packets = 0
         self.n_lane_turns = 0
         self.n_symmetric_resets = 0
 
@@ -131,6 +122,26 @@ class DuplexLink:
         """Counter view; slotted ints are flattened on every read."""
         return flatten_slots(self, self._STAT_FIELDS, self._stats)
 
+    @property
+    def n_egress_bytes(self) -> int:
+        """Bytes sent ``a -> b``."""
+        return self._res_egress._bytes_total
+
+    @property
+    def n_ingress_bytes(self) -> int:
+        """Bytes sent ``b -> a``."""
+        return self._res_ingress._bytes_total
+
+    @property
+    def n_egress_packets(self) -> int:
+        """Packets sent ``a -> b``."""
+        return self._res_egress._transfers
+
+    @property
+    def n_ingress_packets(self) -> int:
+        """Packets sent ``b -> a``."""
+        return self._res_ingress._transfers
+
     # ------------------------------------------------------------------
     # traffic
     # ------------------------------------------------------------------
@@ -141,23 +152,19 @@ class DuplexLink:
 
         Serializes on the direction's current aggregate lane bandwidth and
         then pays the propagation latency (the full link latency unless the
-        caller overrides it, as the switch does to split latency per hop).
+        caller overrides it).
         """
         if direction is Direction.EGRESS:
             if self._lanes_egress == 0:
                 self._raise_emptied(direction)
             res = self._res_egress
-            self.n_egress_bytes += nbytes
-            self.n_egress_packets += 1
         else:
             if self._lanes_ingress == 0:
                 self._raise_emptied(direction)
             res = self._res_ingress
-            self.n_ingress_bytes += nbytes
-            self.n_ingress_packets += 1
-        # Inlined BandwidthResource.service (two transfers per switch
-        # packet): identical arithmetic; packet sizes are fixed positive
-        # constants so the negative-size guard is not needed here.
+        # Inlined BandwidthResource.service: identical arithmetic; packet
+        # sizes are fixed positive constants so the negative-size guard is
+        # not needed here.
         next_free = res._next_free
         start = now if now > next_free else next_free
         duration = nbytes / res._rate
@@ -278,14 +285,14 @@ class DuplexLink:
     # below; ``_pending_turns`` must be zero at a quiescent boundary (a
     # pending commit is an engine event) and is asserted, not captured;
     # ``_stats`` is the StatGroup shadow flatten_slots refills from the
-    # slotted counters on every read.
+    # counters on every read. Traffic counters live in the bandwidth
+    # servers' states.
     _SNAPSHOT_EXEMPT = (
         "socket_id",
         "config",
         "engine",
         "latency",
         "label",
-        "owner",
         "windows",
         "_pending_turns",
         "_stats",
@@ -305,10 +312,8 @@ class DuplexLink:
             "res_ingress": self._res_ingress.snapshot_state(),
             "win_egress": self.windows[Direction.EGRESS].snapshot_state(),
             "win_ingress": self.windows[Direction.INGRESS].snapshot_state(),
-            "counters": [
-                [key, getattr(self, attr)]
-                for attr, key in self._STAT_FIELDS
-            ],
+            "lane_turns": self.n_lane_turns,
+            "symmetric_resets": self.n_symmetric_resets,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -320,6 +325,5 @@ class DuplexLink:
         self.windows[Direction.EGRESS].restore_state(state["win_egress"])
         self.windows[Direction.INGRESS].restore_state(state["win_ingress"])
         self._pending_turns = 0
-        counters = dict((key, value) for key, value in state["counters"])
-        for attr, key in self._STAT_FIELDS:
-            setattr(self, attr, int(counters.get(key, 0)))
+        self.n_lane_turns = int(state["lane_turns"])
+        self.n_symmetric_resets = int(state["symmetric_resets"])

@@ -48,7 +48,7 @@ from repro.config import config_digest
 from repro.errors import SnapshotError
 
 #: Serialized-format version; bump on any payload shape change.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def canonical_json(payload) -> str:
@@ -125,7 +125,10 @@ class SimSnapshot:
         transfers in full only when the target runs the same placement
         kind — otherwise only the page->home table and placement stats
         carry over — and per-socket translation caches are dropped when
-        the target's policy forbids them.
+        the target's policy forbids them. Either way the target's fabric
+        must have the captured fabric's identity (topology and effective
+        per-edge links): edge state does not carry over to another graph
+        or to other link rates.
 
         Returns the launcher state dict for ``NumaGpuSystem.resume``.
         """
@@ -153,6 +156,18 @@ class SimSnapshot:
                 f"{len(payload['sockets'])}, target has "
                 f"{len(system.sockets)}"
             )
+        fabric_state = payload["fabric"]
+        if (system.fabric is None) != (fabric_state is None):
+            raise SnapshotError("fabric presence mismatch between "
+                                "snapshot and target system")
+        if fabric_state is not None:
+            captured = fabric_state["identity"]
+            target = system.fabric.identity()
+            if captured != target:
+                raise SnapshotError(
+                    f"fabric mismatch: snapshot was captured on "
+                    f"{captured}, target is {target}"
+                )
         system.engine.restore_state(payload["engine"])
         system.page_table.restore_state(payload["page_table"])
         placement = system.page_table.placement
@@ -166,10 +181,6 @@ class SimSnapshot:
             placement.policy_obj.restore_state(
                 {"page_home": payload["placement"]["policy"]["page_home"]}
             )
-        fabric_state = payload["fabric"]
-        if (system.fabric is None) != (fabric_state is None):
-            raise SnapshotError("fabric presence mismatch between "
-                                "snapshot and target system")
         if fabric_state is not None:
             system.fabric.restore_state(fabric_state)
         for socket, socket_state in zip(system.sockets, payload["sockets"]):

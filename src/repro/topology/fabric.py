@@ -1,7 +1,8 @@
 """The multi-hop fabric: topology edges, hop programs, and build_fabric.
 
-:class:`MultiHopFabric` generalizes :class:`repro.interconnect.switch.Switch`
-to an arbitrary :class:`~repro.topology.spec.TopologySpec`. Each edge is
+:class:`MultiHopFabric` routes packets over any
+:class:`~repro.topology.spec.TopologySpec`, the paper's crossbar (a star
+around one non-blocking switch) included. Each edge is
 an :class:`EdgeLink` — a :class:`~repro.interconnect.link.DuplexLink`
 whose *egress* direction is ``a -> b`` (the spec's edge orientation) and
 *ingress* is ``b -> a`` — so the Section 4 lane balancer and its
@@ -24,32 +25,33 @@ objects live for the life of the edge.
 Determinism (DESIGN.md, "Topology layer")
 -----------------------------------------
 All hops of one packet are admitted *at the send event*, each starting at
-the previous hop's arrival — the same closed-form convention the crossbar
-has always used for its two hops (egress then ingress admitted together
-in ``Switch.send_bytes``). The hop program spans only FIFO bandwidth
-admissions and pure latency, never a shared-state op (L2 probes, MSHRs,
-and fills remain engine events at their exact cycles), so the fused-path
-rule that *no state op moves in time* is preserved. A mid-transfer
-``set_rate`` (lane turn) only affects *later* admissions: a
+the previous hop's arrival — the closed-form convention the crossbar has
+always used for its two hops (source egress, then destination ingress,
+each paying half the link latency). The hop program spans only FIFO
+bandwidth admissions and pure latency, never a shared-state op (L2
+probes, MSHRs, and fills remain engine events at their exact cycles), so
+the fused-path rule that *no state op moves in time* is preserved. A
+mid-transfer ``set_rate`` (lane turn) only affects *later* admissions: a
 ``BandwidthResource`` completion is fixed at admission, so quotes never
 change retroactively.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 from repro.config import LinkConfig, SystemConfig
-from repro.core.link_policy import effective_edge_link, effective_link_config
+from repro.core.link_policy import effective_edge_link
 from repro.errors import ConfigError, InterconnectError
 from repro.interconnect.link import Direction, DuplexLink
 from repro.interconnect.packets import PacketKind, packet_bytes
-from repro.interconnect.switch import Switch
 from repro.locality.distance import DistanceModel
 from repro.metrics.report import EdgeStats
 from repro.obs.hooks import NOOP, register
 from repro.sim.engine import Engine
 from repro.sim.stats import StatGroup, flatten_slots
 from repro.topology.routing import compute_routes
-from repro.topology.spec import TopologySpec
+from repro.topology.spec import TopologySpec, crossbar
 
 # Observability hook point (repro.obs.hooks): one event per routed
 # fabric packet, with the route's real hop count.
@@ -62,7 +64,8 @@ class EdgeLink(DuplexLink):
 
     ``Direction.EGRESS`` carries ``a -> b`` traffic and
     ``Direction.INGRESS`` carries ``b -> a``; ``socket_id`` holds the
-    edge index and ``label`` the edge name (series/error names).
+    edge index and ``label`` the series/error name (the edge name
+    ``a-b`` unless the fabric passes another).
     """
 
     __slots__ = ("a_idx", "b_idx", "a_name", "b_name")
@@ -76,8 +79,11 @@ class EdgeLink(DuplexLink):
         b_name: str,
         config: LinkConfig,
         engine: Engine,
+        label: str | None = None,
     ) -> None:
-        super().__init__(edge_id, config, engine, label=f"{a_name}-{b_name}")
+        super().__init__(
+            edge_id, config, engine, label=label or f"{a_name}-{b_name}"
+        )
         self.a_idx = a_idx
         self.b_idx = b_idx
         self.a_name = a_name
@@ -113,11 +119,20 @@ class _MonitorPort:
 
 
 class MultiHopFabric:
-    """A routed interconnect over an arbitrary topology graph."""
+    """A routed interconnect over an arbitrary topology graph.
+
+    ``is_crossbar`` marks the paper's fabric and selects how it reports:
+    socket edges are labelled ``link<i>`` (the link timeline series
+    names), there is no per-edge or hop-count report (the socket stats
+    already carry each link's traffic), and the distance model is the
+    identity. The exported RunResult JSON of the default fabric is
+    pinned byte-for-byte by ``tests/golden/hotpath``.
+    """
 
     __slots__ = (
         "engine",
         "spec",
+        "is_crossbar",
         "routes",
         "edges",
         "owners",
@@ -147,6 +162,7 @@ class MultiHopFabric:
             raise InterconnectError("a fabric needs at least two sockets")
         self.engine = engine
         self.spec = spec
+        self.is_crossbar = spec.kind == "crossbar"
         self.routes = compute_routes(spec)
         if edge_links is None:
             edge_links = tuple(edge.link for edge in spec.edges)
@@ -154,7 +170,8 @@ class MultiHopFabric:
         index = {node: i for i, node in enumerate(spec.nodes)}
         self.edges = [
             EdgeLink(
-                e, index[edge.a], index[edge.b], edge.a, edge.b, link, engine
+                e, index[edge.a], index[edge.b], edge.a, edge.b, link, engine,
+                label=f"link{e}" if self.is_crossbar else None,
             )
             for e, (edge, link) in enumerate(zip(spec.edges, edge_links))
         ]
@@ -227,9 +244,9 @@ class MultiHopFabric:
         convention generalized; see the module docstring for why this
         composes with mid-route ``set_rate``). The per-hop admission is
         inlined from :meth:`repro.interconnect.link.DuplexLink.transfer`
-        — identical arithmetic and counters; packet sizes are fixed
-        positive constants — so a route costs one Python frame no matter
-        its hop count.
+        — identical arithmetic; the edge's traffic counters are the
+        resource's own; packet sizes are fixed positive constants — so a
+        route costs one Python frame no matter its hop count.
         """
         if src == dst:
             raise InterconnectError(f"fabric asked to route {src} -> {dst}")
@@ -238,13 +255,8 @@ class MultiHopFabric:
             if forward:
                 if edge._lanes_egress == 0:
                     edge._raise_emptied(Direction.EGRESS)
-                edge.n_egress_bytes += nbytes
-                edge.n_egress_packets += 1
-            else:
-                if edge._lanes_ingress == 0:
-                    edge._raise_emptied(Direction.INGRESS)
-                edge.n_ingress_bytes += nbytes
-                edge.n_ingress_packets += 1
+            elif edge._lanes_ingress == 0:
+                edge._raise_emptied(Direction.INGRESS)
             next_free = res._next_free
             start = t if t > next_free else next_free
             duration = nbytes / res._rate
@@ -281,8 +293,16 @@ class MultiHopFabric:
         """Every edge; the dynamic policy rebalances lanes per edge."""
         return self.edges
 
-    def monitor_port(self, socket_id: int) -> _MonitorPort:
-        """Aggregate bandwidth view of one socket's incident edges."""
+    def monitor_port(self, socket_id: int) -> EdgeLink | _MonitorPort:
+        """Bandwidth view of one socket's incident edges.
+
+        A socket that is the ``a`` end of its only edge (every socket of
+        the crossbar) is watched through that edge directly: its
+        directions already point away from and toward the socket.
+        """
+        incident = self._incident[socket_id]
+        if len(incident) == 1 and incident[0][1]:
+            return incident[0][0]
         return _MonitorPort(self, socket_id)
 
     def socket_traffic(self, socket_id: int) -> tuple[int, int, int]:
@@ -306,7 +326,12 @@ class MultiHopFabric:
         return egress, ingress, turns
 
     def edge_stats(self) -> list[EdgeStats]:
-        """Per-edge counters for the metrics layer (RunResult.edges)."""
+        """Per-edge counters for the metrics layer (RunResult.edges).
+
+        Empty on the crossbar (see the class docstring).
+        """
+        if self.is_crossbar:
+            return []
         return [
             EdgeStats(
                 name=edge.label,
@@ -324,7 +349,9 @@ class MultiHopFabric:
         ]
 
     def hop_histogram(self) -> dict[int, int]:
-        """``{hop count: packets}`` over everything sent so far."""
+        """``{hop count: packets}`` sent so far; empty on the crossbar."""
+        if self.is_crossbar:
+            return {}
         return {
             hops: count
             for hops, count in enumerate(self._hop_hist)
@@ -337,7 +364,14 @@ class MultiHopFabric:
         Derived from the same deterministic routing tables the hop
         programs were compiled from, over the *effective* per-edge links
         (so ``DOUBLED`` provisioning is visible to the locality layer).
+        The crossbar gives the identity model: a non-blocking switch is
+        distance-free, so the distance-aware locality policies degrade
+        exactly to their distance-blind ancestors on the paper's fabric.
         """
+        if self.is_crossbar:
+            return DistanceModel.identity(
+                len(self.edges), self.edges[0].bandwidth(Direction.EGRESS)
+            )
         return DistanceModel.from_spec(self.spec, self._edge_links,
                                        routes=self.routes)
 
@@ -350,6 +384,7 @@ class MultiHopFabric:
     _SNAPSHOT_EXEMPT = (
         "engine",
         "spec",
+        "is_crossbar",
         "routes",
         "owners",
         "_edge_links",
@@ -359,9 +394,23 @@ class MultiHopFabric:
         "_stats",
     )
 
-    def snapshot_state(self) -> dict:
-        """Per-edge link states, hop histogram, and packet counters."""
+    def identity(self) -> dict:
+        """The fabric a snapshot belongs to: spec name, effective edges.
+
+        Two fabrics with equal identities are built from the same graph
+        and the same per-edge LinkConfigs (``DOUBLED`` and the crossbar's
+        halved hop latency included), so edge state transfers between
+        them one to one.
+        """
         return {
+            "spec": self.spec.name,
+            "edge_links": [asdict(link) for link in self._edge_links],
+        }
+
+    def snapshot_state(self) -> dict:
+        """Identity, per-edge link states, hop histogram, packet counters."""
+        return {
+            "identity": self.identity(),
             "edges": [edge.snapshot_state() for edge in self.edges],
             "hop_hist": list(self._hop_hist),
             "packets": self.n_packets,
@@ -377,50 +426,41 @@ class MultiHopFabric:
         self.n_bytes = int(state["bytes"])
 
 
-def build_fabric(config: SystemConfig, engine: Engine):
+def build_fabric(config: SystemConfig, engine: Engine) -> MultiHopFabric | None:
     """The single fabric-or-none decision for one system config.
 
-    This is the one place that rules on the historical construction
-    asymmetry (builders accepted ``n_sockets=1`` and silently skipped
-    the fabric while ``Switch`` raises for ``n_sockets < 2``): a
-    single-socket system has **no fabric** (`None`) — all traffic is
-    local by construction — and every multi-socket system gets exactly
-    one fabric:
+    A single-socket system has **no fabric** (``None``): all traffic is
+    local by construction. Every multi-socket system gets one
+    :class:`MultiHopFabric`, over ``config.topology`` or, without one,
+    over the paper's ``crossbar(n_sockets, config.link)``.
 
-    * no topology, or a ``crossbar`` spec -> the original
-      :class:`~repro.interconnect.switch.Switch` (the crossbar fast
-      path; byte-identical to the pre-topology simulator, pinned by
-      ``tests/golden/hotpath``),
-    * any other topology -> :class:`MultiHopFabric`.
-
-    The ``DOUBLED`` link policy scales per-edge lane bandwidth exactly
-    as it scaled the per-socket link before
-    (:func:`repro.core.link_policy.effective_edge_link`).
+    The ``DOUBLED`` link policy scales per-edge lane bandwidth
+    (:func:`repro.core.link_policy.effective_edge_link`). A crossbar
+    splits each socket link's one-way latency over its two edges, so
+    every crossbar edge pays ``latency // 2``. That halving happens
+    here, not in the spec, so config fingerprints keep the paper's
+    per-link latency.
     """
     if config.n_sockets < 2:
         return None
     topo = config.topology
     if topo is None:
-        return Switch(config.n_sockets, effective_link_config(config), engine)
-    if topo.n_sockets != config.n_sockets:  # defense; SystemConfig validates
+        topo = crossbar(config.n_sockets, config.link)
+    elif topo.n_sockets != config.n_sockets:  # defense; SystemConfig validates
         raise ConfigError(
             f"topology {topo.name!r} has {topo.n_sockets} sockets, "
             f"config has {config.n_sockets}"
         )
-    if topo.kind == "crossbar":
-        links = {edge.link for edge in topo.edges}
-        if len(links) != 1:
-            raise ConfigError(
-                "a crossbar topology needs one uniform per-edge LinkConfig "
-                "(it maps onto the non-blocking Switch fast path, which "
-                "splits one link latency across its two hops)"
-            )
-        return Switch(
-            config.n_sockets,
-            effective_edge_link(config, next(iter(links))),
-            engine,
-        )
     edge_links = tuple(
         effective_edge_link(config, edge.link) for edge in topo.edges
     )
+    if topo.kind == "crossbar":
+        if len(set(edge_links)) != 1:
+            raise ConfigError(
+                "a crossbar topology needs one uniform per-edge LinkConfig "
+                "(its distance model is the identity over one link rate)"
+            )
+        edge_links = tuple(
+            replace(link, latency=link.latency // 2) for link in edge_links
+        )
     return MultiHopFabric(topo, engine, edge_links=edge_links)

@@ -164,11 +164,12 @@ def _socket_names(n_sockets: int) -> tuple[str, ...]:
 def crossbar(n_sockets: int, link: LinkConfig | None = None) -> TopologySpec:
     """The paper's fabric: a non-blocking star (one duplex link per socket).
 
-    Built as a star graph over a central ``xbar`` router. The system
-    builder maps this spec onto the original
-    :class:`repro.interconnect.switch.Switch` fast path, so a crossbar
-    topology is *byte-identical* to a config with no topology at all
-    (pinned by the goldens in ``tests/golden/hotpath``).
+    Built as a star graph over a central ``xbar`` router. A config with
+    no topology gets this spec over its ``link``, so an explicit crossbar
+    is *byte-identical* to no topology at all (pinned by the goldens in
+    ``tests/golden/hotpath``). Each edge carries the whole ``link``; the
+    fabric builder splits its one-way latency over the two hops of a
+    route (:func:`repro.topology.fabric.build_fabric`).
     """
     sockets = _socket_names(n_sockets)
     link = link if link is not None else LinkConfig()

@@ -1,8 +1,11 @@
-"""Unit tests for links, lanes, the switch, and packets."""
+"""Unit tests for links, lanes, the crossbar fabric, and packets."""
+
+import json
+from dataclasses import replace
 
 import pytest
 
-from repro.config import LinkConfig
+from repro.config import LinkConfig, scaled_config
 from repro.errors import InterconnectError
 from repro.interconnect.link import Direction, DuplexLink
 from repro.interconnect.packets import (
@@ -11,8 +14,9 @@ from repro.interconnect.packets import (
     PacketKind,
     packet_bytes,
 )
-from repro.interconnect.switch import Switch
 from repro.sim.engine import Engine
+from repro.topology.fabric import MultiHopFabric, build_fabric
+from repro.topology.spec import TopologySpec, crossbar, ring
 
 
 def make_link(**overrides):
@@ -182,45 +186,88 @@ def test_lane_turn_counts_stat():
 
 
 # ---------------------------------------------------------------------------
-# switch
+# switch: the paper's crossbar, as build_fabric builds it (a star fabric)
 # ---------------------------------------------------------------------------
 
+def crossbar_fabric(n_sockets, link=LinkConfig()):
+    config = replace(scaled_config(n_sockets=n_sockets), link=link)
+    return build_fabric(config, Engine())
+
+
 def test_switch_needs_two_sockets():
+    assert build_fabric(scaled_config(n_sockets=1), Engine()) is None
     with pytest.raises(InterconnectError):
-        Switch(1, LinkConfig(), Engine())
+        MultiHopFabric(TopologySpec("one", "crossbar", ("gpu0",)), Engine())
 
 
 def test_switch_rejects_self_route():
-    switch = Switch(4, LinkConfig(), Engine())
+    fabric = crossbar_fabric(4)
     with pytest.raises(InterconnectError):
-        switch.send(0, 1, 1, PacketKind.READ_REQUEST)
+        fabric.send(0, 1, 1, PacketKind.READ_REQUEST)
 
 
 def test_switch_end_to_end_latency():
-    switch = Switch(2, LinkConfig(), Engine())
+    fabric = crossbar_fabric(2)
     # 32B request: 1 cycle on each link + 2 x 64 half-latency.
-    arrival = switch.send(0, 0, 1, PacketKind.READ_REQUEST)
+    arrival = fabric.send(0, 0, 1, PacketKind.READ_REQUEST)
     assert arrival == 1 + 64 + 1 + 64
 
 
+def test_switch_odd_latency_rounds_each_hop_down():
+    fabric = crossbar_fabric(2, LinkConfig(latency=127))
+    # Each of the two hops pays 127 // 2 = 63 cycles.
+    arrival = fabric.send(0, 0, 1, PacketKind.READ_REQUEST)
+    assert arrival == 1 + 63 + 1 + 63
+
+
 def test_switch_charges_both_links():
-    switch = Switch(2, LinkConfig(), Engine())
-    switch.send(0, 0, 1, PacketKind.READ_RESPONSE)
-    assert switch.links[0].stats["egress_bytes"] == DATA_BYTES
-    assert switch.links[1].stats["ingress_bytes"] == DATA_BYTES
-    assert switch.links[1].stats["egress_bytes"] == 0
+    fabric = crossbar_fabric(2)
+    fabric.send(0, 0, 1, PacketKind.READ_RESPONSE)
+    links = fabric.balancer_links
+    assert links[0].stats["egress_bytes"] == DATA_BYTES
+    assert links[1].stats["ingress_bytes"] == DATA_BYTES
+    assert links[1].stats["egress_bytes"] == 0
 
 
 def test_switch_total_bytes_counts_once_per_packet():
-    switch = Switch(4, LinkConfig(), Engine())
-    switch.send(0, 0, 1, PacketKind.READ_REQUEST)
-    switch.send(0, 2, 3, PacketKind.READ_RESPONSE)
-    assert switch.total_bytes == CONTROL_BYTES + DATA_BYTES
+    fabric = crossbar_fabric(4)
+    fabric.send(0, 0, 1, PacketKind.READ_REQUEST)
+    fabric.send(0, 2, 3, PacketKind.READ_RESPONSE)
+    assert fabric.total_bytes == CONTROL_BYTES + DATA_BYTES
 
 
 def test_switch_contention_on_shared_ingress():
     """Two sources sending to one destination serialize on its ingress."""
-    switch = Switch(3, LinkConfig(), Engine())
-    a1 = switch.send(0, 0, 2, PacketKind.READ_RESPONSE)
-    a2 = switch.send(0, 1, 2, PacketKind.READ_RESPONSE)
+    fabric = crossbar_fabric(3)
+    a1 = fabric.send(0, 0, 2, PacketKind.READ_RESPONSE)
+    a2 = fabric.send(0, 1, 2, PacketKind.READ_RESPONSE)
     assert a2 > a1
+
+
+def _edge_traffic(fabric):
+    return [
+        [edge.stats[key] for key in (
+            "egress_bytes", "ingress_bytes",
+            "egress_packets", "ingress_packets",
+        )]
+        for edge in fabric.edges
+    ]
+
+
+@pytest.mark.parametrize("spec", [crossbar(4), ring(4)], ids=lambda s: s.name)
+def test_edge_traffic_stats_equal_what_was_sent(spec):
+    config = replace(scaled_config(n_sockets=4), topology=spec)
+    fabric = build_fabric(config, Engine())
+    expected = [[0, 0, 0, 0] for _ in fabric.edges]
+    sends = [(0, 1, CONTROL_BYTES), (1, 0, DATA_BYTES), (0, 2, DATA_BYTES),
+             (3, 2, CONTROL_BYTES), (2, 0, DATA_BYTES), (3, 1, DATA_BYTES)]
+    for t, (src, dst, nbytes) in enumerate(sends):
+        fabric.send_bytes(t, src, dst, nbytes)
+        for edge, _res, forward, _lat in fabric._programs[src][dst]:
+            row = expected[edge.socket_id]
+            row[0 if forward else 1] += nbytes
+            row[2 if forward else 3] += 1
+    assert _edge_traffic(fabric) == expected
+    restored = build_fabric(config, Engine())
+    restored.restore_state(json.loads(json.dumps(fabric.snapshot_state())))
+    assert _edge_traffic(restored) == expected

@@ -177,6 +177,27 @@ def test_restore_refuses_socket_count_mismatch():
         snapshot.restore_into(target, fork=True)
 
 
+@pytest.mark.parametrize(
+    "target",
+    [
+        lambda ctx: ctx.config_topology("ring", n_sockets=4),
+        lambda ctx: ctx.config_topology("fully_connected", n_sockets=4),
+        lambda ctx: ctx.config_doubled_link(),
+    ],
+    ids=["ring4", "fully_connected4", "doubled"],
+)
+def test_fork_refuses_a_different_fabric(target):
+    # A crossbar STATIC warmup carries edge state for its own graph and
+    # link rates only; branching it onto another topology or onto
+    # DOUBLED links must fail loudly, not restore a mismatched fabric.
+    ctx = _ctx()
+    snapshot, _ = warmup_snapshot(ctx.config_locality(), WORKLOAD, TINY)
+    system = build_system(target(ctx))
+    with pytest.raises(SnapshotError, match="fabric mismatch"):
+        snapshot.restore_into(system, fork=True)
+    assert system.engine.now == 0  # refused before any state was overlaid
+
+
 # ---------------------------------------------------------------------------
 # forking
 # ---------------------------------------------------------------------------

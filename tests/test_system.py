@@ -11,7 +11,7 @@ from repro.config import (
     single_gpu_config,
 )
 from repro.core.builder import build_system, run_workload_on
-from repro.core.link_policy import build_balancers, effective_link_config
+from repro.core.link_policy import build_balancers
 from repro.gpu.system import NumaGpuSystem
 from repro.workloads.spec import TINY
 from repro.workloads.synthetic import make_workload
@@ -26,21 +26,14 @@ def test_build_system_default_is_scaled_four_socket():
     system = build_system()
     assert system.config.n_sockets == 4
     assert len(system.sockets) == 4
-    assert system.switch is not None
+    assert system.fabric is not None
 
 
 def test_single_socket_has_no_switch_or_balancers():
     system = build_system(single_gpu_config(scaled_config()))
-    assert system.switch is None
+    assert system.fabric is None
     assert system.balancers == []
     assert system.cache_controllers == []
-
-
-def test_links_know_their_owner():
-    system = build_system(scaled_config(n_sockets=4, sms_per_socket=2))
-    assert system.switch is not None
-    for link, socket in zip(system.switch.links, system.sockets):
-        assert link.owner is socket
 
 
 def test_static_policy_builds_no_balancers():
@@ -78,17 +71,17 @@ def test_cache_controllers_only_for_numa_aware():
 
 def test_doubled_link_policy_doubles_bandwidth():
     cfg = replace(scaled_config(), link_policy=LinkPolicy.DOUBLED)
-    effective = effective_link_config(cfg)
-    assert effective.lane_bandwidth == pytest.approx(
-        cfg.link.lane_bandwidth * 2
-    )
     system = build_system(cfg)
-    assert system.switch is not None
+    assert system.fabric is not None
     from repro.interconnect.link import Direction
 
-    assert system.switch.links[0].bandwidth(Direction.EGRESS) == pytest.approx(
-        2 * cfg.link.direction_bandwidth
-    )
+    for link in system.fabric.balancer_links:
+        assert link.config.lane_bandwidth == pytest.approx(
+            cfg.link.lane_bandwidth * 2
+        )
+        assert link.bandwidth(Direction.EGRESS) == pytest.approx(
+            2 * cfg.link.direction_bandwidth
+        )
 
 
 def test_build_balancers_none_without_switch():

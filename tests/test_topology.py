@@ -27,7 +27,6 @@ from repro.errors import ConfigError, InterconnectError
 from repro.harness.equivalence import canonical_result_json, equivalence_cases
 from repro.harness.runner import ExperimentContext
 from repro.interconnect.link import Direction
-from repro.interconnect.switch import Switch
 from repro.metrics.export import result_from_json_dict, result_to_json_dict
 from repro.sim.engine import Engine
 from repro.topology import (
@@ -262,11 +261,19 @@ def test_build_fabric_single_socket_is_none():
 
 def test_build_fabric_default_and_crossbar_are_switch():
     config = scaled_config(n_sockets=4)
-    assert isinstance(build_fabric(config, Engine()), Switch)
-    explicit = replace(config, topology=crossbar(4, config.link))
-    fabric = build_fabric(explicit, Engine())
-    assert isinstance(fabric, Switch)
-    assert fabric.links[0].config == config.link
+    half = replace(config.link, latency=config.link.latency // 2)
+    implicit = build_fabric(config, Engine())
+    explicit = build_fabric(
+        replace(config, topology=crossbar(4, config.link)), Engine()
+    )
+    for fabric in (implicit, explicit):
+        assert isinstance(fabric, MultiHopFabric)
+        assert fabric.is_crossbar
+        assert [e.label for e in fabric.edges] == [f"link{i}" for i in range(4)]
+        assert all(e.config == half for e in fabric.edges)
+        assert fabric.edge_stats() == [] and fabric.hop_histogram() == {}
+        assert fabric.monitor_port(2) is fabric.edges[2]
+    assert implicit.identity() == explicit.identity()
 
 
 def test_build_fabric_multi_hop_for_other_kinds():
@@ -303,10 +310,10 @@ def test_build_fabric_applies_doubled_policy_per_edge():
         assert edge.config.lane_bandwidth == pytest.approx(
             2 * config.link.lane_bandwidth
         )
-    switch = build_fabric(
+    star = build_fabric(
         replace(config, topology=crossbar(4, config.link)), Engine()
     )
-    assert switch.links[0].config.lane_bandwidth == pytest.approx(
+    assert star.edges[0].config.lane_bandwidth == pytest.approx(
         2 * config.link.lane_bandwidth
     )
 
