@@ -32,7 +32,6 @@ from repro.core.builder import run_workload_on
 from repro.errors import ConfigError
 from repro.harness import experiments
 from repro.harness.formatting import format_table
-from repro.harness.runner import ExperimentContext
 from repro.locality import (
     CTA_KINDS,
     PLACEMENT_KINDS,

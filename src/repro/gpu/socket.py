@@ -216,7 +216,7 @@ class GpuSocket:
         # make_socket() builds a LocalGpuSocket for exactly this case.
         self._always_local = (
             config.n_sockets == 1
-            and not page_table.placement.policy_obj.bills_single_socket_touch
+            and not page_table.policy.bills_single_socket_touch
         )
         # Dynamic placement policies forbid caching settled homes: their
         # re-home decisions count every touch, and a warm record would
@@ -388,7 +388,7 @@ class GpuSocket:
         line_size = self.line_size
         page_table = self.page_table
         translate = page_table.translate
-        is_first_touch = page_table.placement.is_first_touch
+        is_first_touch = page_table.policy.is_first_touch
         noc_latency = self.noc_latency
         engine = self.engine
         now = engine.now
@@ -686,7 +686,7 @@ class GpuSocket:
             return rec.home
         addr = line * self.line_size
         home, extra = self.page_table.translate(addr, self.socket_id)
-        if extra == 0 or not self.page_table.placement.is_first_touch(addr):
+        if extra == 0 or not self.page_table.policy.is_first_touch(addr):
             if rec is None:
                 rec = _LineRec()
                 self._lines[line] = rec
@@ -1058,7 +1058,7 @@ def make_socket(
     """
     if (
         config.n_sockets == 1
-        and not page_table.placement.policy_obj.bills_single_socket_touch
+        and not page_table.policy.bills_single_socket_touch
     ):
         return LocalGpuSocket(socket_id, config, engine, page_table, fabric)
     return GpuSocket(socket_id, config, engine, page_table, fabric)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import time
 
-from repro.config import CacheArch, LinkPolicy, SystemConfig
+from repro.config import CacheArch, SystemConfig
 from repro.core.link_policy import build_balancers
 from repro.core.numa_cache import CachePartitionController
 from repro.errors import SnapshotError
@@ -149,9 +149,19 @@ class NumaGpuSystem:
         """Execute a kernel sequence to completion and collect results."""
         for controller in self.cache_controllers:
             controller.start()
-        dynamic_links = self.config.link_policy is LinkPolicy.DYNAMIC
         for balancer in self.balancers:
             balancer.start()
+        self._launch(kernels)
+        assert self._launcher.finished, "engine drained before kernels completed"
+        return collect_results(self, workload_name)
+
+    def _launch(
+        self,
+        kernels: list[KernelWork],
+        launcher_state: dict | None = None,
+        pause_after: int | None = None,
+    ) -> None:
+        """Build the launcher (optionally restored) and drain the engine."""
         self._launcher = Launcher(
             engine=self.engine,
             sockets=self.sockets,
@@ -160,15 +170,16 @@ class NumaGpuSystem:
             launch_latency=self.config.kernel_launch_latency,
             on_kernel_launch=self._on_kernel_launch,
             on_workload_done=self._on_workload_done,
+            pause_after=pause_after,
         )
+        if launcher_state is not None:
+            self._launcher.restore_state(launcher_state)
         self._obs_enable()
         try:
             self._launcher.begin()
             self._drain()
         finally:
             self._obs_disable()
-        assert self._launcher.finished, "engine drained before kernels completed"
-        return collect_results(self, workload_name)
 
     def _drain(self) -> None:
         """Drain the engine with GC paused and the events/sec tally fed."""
@@ -223,22 +234,7 @@ class NumaGpuSystem:
         reason = self.snapshot_eligible()
         if reason is not None:
             raise SnapshotError(f"system cannot pause for snapshot: {reason}")
-        self._launcher = Launcher(
-            engine=self.engine,
-            sockets=self.sockets,
-            kernels=kernels,
-            cta_policy=self.cta_policy,
-            launch_latency=self.config.kernel_launch_latency,
-            on_kernel_launch=self._on_kernel_launch,
-            on_workload_done=self._on_workload_done,
-            pause_after=pause_after,
-        )
-        self._obs_enable()
-        try:
-            self._launcher.begin()
-            self._drain()
-        finally:
-            self._obs_disable()
+        self._launch(kernels, pause_after=pause_after)
         assert self._launcher.paused, "engine drained without reaching pause"
 
     def resume(
@@ -254,22 +250,7 @@ class NumaGpuSystem:
         the launch loop around them and drains to completion. The
         resumed timeline is cycle-identical to an uninterrupted run.
         """
-        self._launcher = Launcher(
-            engine=self.engine,
-            sockets=self.sockets,
-            kernels=kernels,
-            cta_policy=self.cta_policy,
-            launch_latency=self.config.kernel_launch_latency,
-            on_kernel_launch=self._on_kernel_launch,
-            on_workload_done=self._on_workload_done,
-        )
-        self._launcher.restore_state(launcher_state)
-        self._obs_enable()
-        try:
-            self._launcher.begin()
-            self._drain()
-        finally:
-            self._obs_disable()
+        self._launch(kernels, launcher_state=launcher_state)
         assert self._launcher.finished, "engine drained before kernels completed"
         return collect_results(self, workload_name)
 

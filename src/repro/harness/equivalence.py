@@ -10,14 +10,21 @@ that pin that contract; the goldens themselves live in
 ``scripts/capture_equivalence_golden.py`` on the last pre-overhaul
 revision. ``tests/test_equivalence_golden.py`` and the CI equivalence job
 re-simulate every case and compare byte-for-byte.
+
+The six ``Rodinia-BFS__*`` locality cases are *HEAD captures*, not
+pre-overhaul ones: they were recorded on the revision just before
+``PageTable`` took over its placement policy, and pin the paths that
+refactor rewired (single-socket first-touch billing, ``LocalGpuSocket``,
+fine and page interleaving, and the re-homing placement policies on a
+ring).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.config import CacheArch, SystemConfig
+from repro.config import CacheArch, PlacementPolicy, SystemConfig
 from repro.core.builder import run_workload_on
 from repro.harness.runner import ExperimentContext
 from repro.metrics.export import result_to_json_dict
@@ -49,7 +56,9 @@ def equivalence_cases() -> list[EquivalenceCase]:
     Every ``CacheArch`` organization is covered for every workload; one
     extra case adds dynamic links + timeline recording so the balancer,
     partition controller, and TimeSeries serialization paths are pinned
-    too.
+    too. Six small BFS cases pin the placement and CTA-policy paths:
+    one-socket first-touch billing, the single-GPU socket, the
+    traditional interleaved layouts, and the two re-homing policies.
     """
     ctx = ExperimentContext(scale=SCALES["tiny"])
     cases = [
@@ -69,6 +78,31 @@ def equivalence_cases() -> list[EquivalenceCase]:
             config=ctx.config_combined(),
             record_timelines=True,
         )
+    )
+    locality_configs = {
+        "one_socket_first_touch": ctx.base_config(1),
+        "single_gpu": ctx.config_single_gpu(),
+        "traditional": ctx.config_traditional(),
+        "page_interleave": replace(
+            ctx.base_config(), placement=PlacementPolicy.PAGE_INTERLEAVE
+        ),
+        "ring_distance_weighted": ctx.config_locality_policy(
+            "distance_weighted_first_touch", "distance_affine",
+            kind="ring", n_sockets=4,
+        ),
+        "ring_access_counter": ctx.config_locality_policy(
+            "access_counter_migration", "contiguous",
+            kind="ring", n_sockets=4,
+        ),
+    }
+    cases.extend(
+        EquivalenceCase(
+            name=f"Rodinia-BFS__{label}",
+            workload="Rodinia-BFS",
+            config=config,
+            record_timelines=False,
+        )
+        for label, config in locality_configs.items()
     )
     return cases
 

@@ -366,18 +366,10 @@ def repro_command_for(task: "RunTask", scale_name: str) -> str:
         parts += ["--cache", config.cache_arch.value]
     if config.link_policy is not LinkPolicy.STATIC:
         parts += ["--links", config.link_policy.value]
-    placement = (
-        config.placement_spec.kind if config.placement_spec is not None
-        else config.placement.value
-    )
-    if placement != PlacementPolicy.FIRST_TOUCH.value:
-        parts += ["--placement", placement]
-    cta = (
-        config.cta_spec.kind if config.cta_spec is not None
-        else config.cta_policy.value
-    )
-    if cta != CtaPolicy.CONTIGUOUS.value:
-        parts += ["--cta-policy", cta]
+    if config.placement_kind != PlacementPolicy.FIRST_TOUCH.value:
+        parts += ["--placement", config.placement_kind]
+    if config.cta_kind != CtaPolicy.CONTIGUOUS.value:
+        parts += ["--cta-policy", config.cta_kind]
     if config.topology is not None:
         parts += ["--topology", config.topology.kind]
     return " ".join(parts)

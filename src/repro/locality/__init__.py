@@ -3,14 +3,13 @@
 The paper's central claim (Sections 3-4) is that a NUMA-aware GPU only
 works when the *software* locality policy — where pages are homed and
 which socket runs which CTA block — cooperates with the interconnect.
-Before this package, both policy sites were hardcoded enum chains
-(``memory/placement.py``'s if/elif ladder and
-``runtime/scheduler.assign_ctas``) that could not see the fabric at all;
-after PR 4 made fabrics multi-hop, that distance-blindness is exactly the
-ring/mesh gap the topology driver measures at 8-16 sockets.
+Both policy sites were once hardcoded enum chains that could not see
+the fabric at all; on multi-hop fabrics that distance-blindness is
+exactly the ring/mesh gap the topology driver measures at 8-16 sockets.
 
-This package unifies both sites behind one declarative, distance-aware
-policy layer:
+This package puts both sites behind one declarative, distance-aware
+policy layer. The page table holds a run's placement policy and the
+launcher its CTA policy, each directly:
 
 * :mod:`repro.locality.distance` — :class:`DistanceModel`, the hop-count
   and bottleneck-bandwidth matrices every fabric exposes (identity for
@@ -19,8 +18,8 @@ policy layer:
   the four historical policies ported unchanged, plus the distance-aware
   ``distance_weighted_first_touch`` and ``access_counter_migration``;
 * :mod:`repro.locality.cta` — the CTA-assignment policy registry:
-  ``contiguous`` and ``round_robin``/``interleaved`` ported unchanged,
-  plus the affinity-aware ``distance_affine``;
+  ``contiguous`` and ``interleaved`` ported unchanged, plus the
+  affinity-aware ``distance_affine``;
 * :mod:`repro.locality.spec` — the frozen policy specs
   (:class:`PlacementSpec` / :class:`CtaSpec`) that
   :class:`repro.config.SystemConfig` carries, so a locality policy is
@@ -36,7 +35,6 @@ from repro.locality.cta import (
     CTA_POLICIES,
     CtaAssignmentPolicy,
     build_cta_policy,
-    resolve_cta_policy,
 )
 from repro.locality.distance import DistanceModel
 from repro.locality.placement import (
@@ -58,5 +56,4 @@ __all__ = [
     "PlacementSpec",
     "build_cta_policy",
     "build_page_policy",
-    "resolve_cta_policy",
 ]

@@ -1,17 +1,17 @@
 """CTA-assignment policy registry (Section 3's scheduling axis).
 
 Each policy partitions a kernel's CTA indices into per-socket blocks
-behind a uniform protocol, replacing the hardcoded branch in
-``runtime/scheduler.assign_ctas`` (now a compatibility wrapper over this
-registry). The two original policies are ported unchanged:
+behind a uniform protocol; the launcher holds one policy object and
+calls :meth:`CtaAssignmentPolicy.assign` per kernel. The two policies
+the :class:`repro.config.CtaPolicy` enum names:
 
 * ``contiguous`` — balanced contiguous blocks, one per socket (the
   locality-optimized runtime: neighbouring CTAs share a socket, so
   first-touch placement captures their shared pages);
-* ``round_robin`` (canonical name of the historical ``interleaved``
-  enum value) — modulo assignment, the fine-grained single-GPU policy.
+* ``interleaved`` — modulo assignment, the fine-grained single-GPU
+  policy.
 
-New:
+Beyond the enum:
 
 * ``distance_affine`` — affinity-aware assignment: each CTA is placed
   on the socket minimizing the distance-weighted cost of reaching the
@@ -19,11 +19,12 @@ New:
   (:meth:`~repro.locality.distance.DistanceModel.weighted_costs`), so
   a route through a thin switch-tree trunk costs proportionally more
   than the same hops over full-width edges — subject to the same
-  one-CTA balance bound the static policies keep. Page touch profiles come from the materialized CTA
-  slice streams (the same plan-capture traces the harness pre-builds
-  before every run, so profiling a CTA is a dictionary walk, not a
-  re-generation), homes from the live first-touch table, and distances
-  from the fabric's :class:`~repro.locality.distance.DistanceModel`.
+  one-CTA balance bound the static policies keep. Page touch profiles
+  come from the materialized CTA slice streams (the same plan-capture
+  traces the harness pre-builds before every run, so profiling a CTA is
+  a dictionary walk, not a re-generation), homes from the page table's
+  live ``page_home`` table, and distances from the fabric's
+  :class:`~repro.locality.distance.DistanceModel`.
   Kernels launched before any page is homed (the first kernel of a
   first-touch run) fall back to ``contiguous``, which is exactly the
   assignment that seeds first-touch locality. On the crossbar's
@@ -42,7 +43,6 @@ from repro.locality.spec import CtaSpec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import SystemConfig
     from repro.memory.page_table import PageTable
-    from repro.runtime.kernel import KernelWork
 
 
 def _validate(n_ctas: int, n_sockets: int) -> None:
@@ -98,7 +98,7 @@ class ContiguousCta(CtaAssignmentPolicy):
 class RoundRobinCta(CtaAssignmentPolicy):
     """Modulo assignment (CTA i to socket i % N)."""
 
-    kind = "round_robin"
+    kind = "interleaved"
 
     def assign(self, n_ctas: int, sockets, kernel=None) -> list[list[int]]:
         n_sockets = len(sockets)
@@ -138,15 +138,14 @@ class DistanceAffineCta(CtaAssignmentPolicy):
             kernel is None
             or page_table is None
             or self._distance is None
-            or not page_table.placement.claims_pages
-            or not page_table.placement._page_home
+            or not page_table.policy.claims_pages
+            or not page_table.page_home
         ):
             # No affinity signal yet (first kernel of a first-touch run,
             # or an arithmetic placement): contiguous seeds locality.
             return self._fallback.assign(n_ctas, sockets, kernel)
-        homes = page_table.placement._page_home
-        get_home = homes.get
-        page_size = page_table.placement.page_size
+        get_home = page_table.page_home.get
+        page_size = page_table.page_size
         # Bandwidth-weighted hop costs: on uniform fabrics this IS the
         # hop matrix; on asymmetric ones (switch-tree trunk) routes
         # through thin links cost proportionally more.
@@ -180,13 +179,10 @@ class DistanceAffineCta(CtaAssignmentPolicy):
         return blocks
 
 
-#: kind -> policy; ``interleaved`` is the historical enum value of the
-#: round-robin policy (both names resolve to the same class).
+#: kind -> policy class; the registry behind ``build_cta_policy`` and
+#: the ``repro run --cta-policy`` CLI choices.
 CTA_POLICIES: dict[str, type[CtaAssignmentPolicy]] = {
-    "contiguous": ContiguousCta,
-    "round_robin": RoundRobinCta,
-    "interleaved": RoundRobinCta,
-    "distance_affine": DistanceAffineCta,
+    cls.kind: cls for cls in (ContiguousCta, RoundRobinCta, DistanceAffineCta)
 }
 
 
@@ -195,9 +191,8 @@ def build_cta_policy(
     page_table: "PageTable | None" = None,
     distance: DistanceModel | None = None,
 ) -> CtaAssignmentPolicy:
-    """Instantiate the CTA policy a config selects (spec overrides enum)."""
-    spec = config.cta_spec
-    kind = spec.kind if spec is not None else config.cta_policy.value
+    """Instantiate the CTA policy a config selects (``config.cta_kind``)."""
+    kind = config.cta_kind
     cls = CTA_POLICIES.get(kind)
     if cls is None:
         raise ConfigError(
@@ -205,33 +200,6 @@ def build_cta_policy(
         )
     if cls is DistanceAffineCta:
         return DistanceAffineCta(page_table, distance)
-    return cls()
-
-
-def resolve_cta_policy(policy) -> CtaAssignmentPolicy:
-    """Normalize an enum / kind string / policy object to a policy object.
-
-    The compatibility entry the launcher and ``assign_ctas`` wrapper use
-    so historical call sites passing :class:`repro.config.CtaPolicy`
-    enums keep working unchanged.
-    """
-    if isinstance(policy, CtaAssignmentPolicy):
-        return policy
-    kind = getattr(policy, "value", policy)
-    cls = CTA_POLICIES.get(kind)
-    if cls is None:
-        raise ConfigError(
-            f"unknown CTA policy {policy!r}; known: {sorted(CTA_POLICIES)}"
-        )
-    if cls is DistanceAffineCta:
-        # An unwired affine policy would silently degrade to contiguous
-        # through its no-signal fallback — refuse rather than let a
-        # caller believe they measured affinity-aware scheduling.
-        raise ConfigError(
-            "distance_affine needs page-table and distance-model wiring; "
-            "build it via repro.locality.cta.build_cta_policy (the system "
-            "builder does this automatically for cta_spec configs)"
-        )
     return cls()
 
 
@@ -243,5 +211,4 @@ __all__ = [
     "DistanceAffineCta",
     "RoundRobinCta",
     "build_cta_policy",
-    "resolve_cta_policy",
 ]

@@ -1,9 +1,9 @@
 """Page-placement policy registry (Section 3 + the §4 dynamic migration).
 
 Each policy answers *which socket is the home of this address?* behind a
-uniform protocol, replacing the historical if/elif chain in
-:class:`repro.memory.placement.Placement` (now a thin facade over one
-policy object). The four original policies are ported unchanged:
+uniform protocol. :class:`repro.memory.page_table.PageTable` builds one
+policy per run and holds it. The four policies the
+:class:`repro.config.PlacementPolicy` enum names:
 
 * ``fine_interleave`` — sub-page interleaving (traditional UMA layout);
 * ``page_interleave`` — Linux-style round-robin page placement;
@@ -118,8 +118,8 @@ class PagePolicy:
     # ------------------------------------------------------------------
     # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
     # ------------------------------------------------------------------
-    # Geometry and the spec are construction-time; ``stats`` is the
-    # Placement facade's StatGroup and is captured by the facade.
+    # Geometry and the spec are construction-time; ``stats`` is the page
+    # table's ``placement_stats`` and is captured beside the policy.
     _SNAPSHOT_EXEMPT = (
         "n_sockets",
         "page_size",
@@ -140,7 +140,7 @@ class PagePolicy:
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`snapshot_state`.
 
-        The table is refilled *in place*: ``Placement._page_home``
+        The table is refilled *in place*: ``PageTable.page_home``
         aliases this dict (the fused first-touch path and UVM prefetch
         write it directly), so the object identity must survive restore.
         """
@@ -497,10 +497,8 @@ PAGE_POLICIES: dict[str, type[PagePolicy]] = {
 
 
 def build_page_policy(config: "SystemConfig", stats: StatGroup) -> PagePolicy:
-    """Instantiate the policy a config selects (spec overrides enum)."""
-    spec = config.placement_spec
-    if spec is None:
-        spec = PlacementSpec(kind=config.placement.value)
+    """Instantiate the policy a config selects (``config.placement_kind``)."""
+    spec = config.placement_spec or PlacementSpec(kind=config.placement_kind)
     cls = PAGE_POLICIES.get(spec.kind)
     if cls is None:
         raise ConfigError(

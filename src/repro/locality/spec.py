@@ -6,12 +6,14 @@ scalars, so :func:`repro.config.config_fingerprint` canonicalizes them
 exactly like every other config field — a locality policy can never be
 silently dropped from a run's content-addressed identity.
 
-``SystemConfig`` keeps its historical ``placement`` / ``cta_policy``
-enums as the compatibility surface for the four original policies; a
-non-``None`` spec *overrides* the corresponding enum (see
-``SystemConfig.placement_kind`` / ``cta_kind``). The default config
-carries no specs, which keeps its fingerprint-derived labels — and the
-``tests/golden/hotpath`` goldens — byte-identical.
+``SystemConfig`` also carries ``placement`` / ``cta_policy`` enums
+naming the original policies; a non-``None`` spec *overrides* the
+corresponding enum, and ``SystemConfig.placement_kind`` / ``cta_kind``
+are the one place that rule is applied. The enums stay because every
+config digest (and so every result-cache key and benchmark cell key)
+hashes them. The default config carries no specs, which keeps its
+fingerprint-derived labels — and the ``tests/golden/hotpath`` goldens —
+byte-identical.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ PLACEMENT_KINDS = (
     "access_counter_migration",
 )
 
-#: Registered CTA-assignment policy kinds. ``round_robin`` is the
-#: canonical name of the historical ``interleaved`` enum value (both
-#: resolve to the same policy).
+#: Registered CTA-assignment policy kinds. The first two are the
+#: :class:`repro.config.CtaPolicy` enum values; the last is the
+#: affinity-aware addition.
 CTA_KINDS = (
     "contiguous",
     "interleaved",
-    "round_robin",
     "distance_affine",
 )
 

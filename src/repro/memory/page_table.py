@@ -1,6 +1,7 @@
-"""Page table wrapper: home lookup plus migration-latency accounting.
+"""Page table: the placement policy, home lookup, and fault accounting.
 
-The :class:`repro.memory.placement.Placement` policy decides *where* a page
+The page table owns the run's page-placement policy (built from the
+:mod:`repro.locality.placement` registry), which decides *where* a page
 lives; this module adds the UVM mechanics around it — the one-time
 migration charge a first-touch access pays while the page is copied from
 system memory into the toucher's local DRAM (Section 3).
@@ -17,7 +18,7 @@ run; the dynamic locality policies migrating pages mid-run) can call
 :meth:`invalidate_page` and atomically drop every stale cached line of
 that page across all sockets.
 
-Dynamic policies (``placement.dynamic``) additionally disable cache
+Dynamic policies (``policy.dynamic``) additionally disable cache
 *filling* entirely (:attr:`cacheable`): their re-home decisions are
 driven by per-page touch counters, and a warm line cache would hide
 exactly the accesses those counters need. Their demand accesses route
@@ -29,7 +30,8 @@ the counters.
 from __future__ import annotations
 
 from repro.config import SystemConfig
-from repro.memory.placement import Placement
+from repro.errors import PlacementError
+from repro.locality.placement import build_page_policy
 from repro.sim.stats import StatGroup, flatten_slots
 
 
@@ -37,10 +39,13 @@ class PageTable:
     """Resolves addresses to home sockets and prices first-touch faults."""
 
     __slots__ = (
-        "placement",
+        "policy",
+        "page_home",
+        "placement_stats",
+        "n_sockets",
+        "page_size",
         "migration_latency",
         "cacheable",
-        "_policy",
         "_dynamic",
         "_fused_first_touch",
         "_stats",
@@ -60,16 +65,22 @@ class PageTable:
     )
 
     def __init__(self, config: SystemConfig) -> None:
-        self.placement = Placement(config)
+        self.n_sockets = config.n_sockets
+        self.page_size = config.page_size
+        #: migration / re-home counters the placement policy writes.
+        self.placement_stats = StatGroup("placement")
+        self.policy = build_page_policy(config, self.placement_stats)
+        #: the policy's page -> home table (the same dict object: the
+        #: fused first-touch path and UVM prefetch write it directly).
+        self.page_home = self.policy.page_home
         self.migration_latency = config.migration_latency
-        self._policy = self.placement.policy_obj
         #: whether sockets may fill their line->home caches.
-        self.cacheable = self.placement.cacheable
-        self._dynamic = self.placement.dynamic
+        self.cacheable = self.policy.cacheable
+        self._dynamic = self.policy.dynamic
         # The fused fast path below applies to the plain first-touch
         # policy on a real NUMA system (see translate()).
         self._fused_first_touch = (
-            self.placement.kind == "first_touch" and config.n_sockets > 1
+            self.policy.kind == "first_touch" and config.n_sockets > 1
         )
         self._stats = StatGroup("page_table")
         self.n_faults = 0
@@ -97,7 +108,24 @@ class PageTable:
         to weight re-home decisions by hop distance. A no-op for the
         static policies.
         """
-        self._policy.attach(fabric, engine, distance, self)
+        self.policy.attach(fabric, engine, distance, self)
+
+    def home_socket(self, addr: int, accessor: int) -> int:
+        """Home socket of ``addr`` for an access issued by ``accessor``.
+
+        For the first-touch family the first call for a page claims it
+        for the accessor and counts a migration (the page moves from
+        system memory into that GPU's local DRAM). A one-socket system
+        homes everything at socket 0 without claiming, which is why a
+        one-socket ``first_touch`` run bills the copy on every touch.
+        """
+        if accessor < 0 or accessor >= self.n_sockets:
+            raise PlacementError(
+                f"accessor socket {accessor} out of range 0..{self.n_sockets - 1}"
+            )
+        if self.n_sockets == 1:
+            return 0
+        return self.policy.home_socket(addr, accessor)
 
     def translate(
         self, addr: int, accessor: int, is_write: bool = False
@@ -116,40 +144,45 @@ class PageTable:
         (Hot path: runs on every translation-cache miss — and on *every*
         access under a dynamic policy — so the first-touch probe and the
         home lookup are fused into a single page computation and dict
-        probe instead of chaining ``Placement.is_first_touch`` +
-        ``Placement.home_socket`` — the counters and claim side effects
+        probe instead of chaining ``policy.is_first_touch`` +
+        ``policy.home_socket`` — the counters and claim side effects
         are identical.)
         """
-        placement = self.placement
+        n_sockets = self.n_sockets
         if self._fused_first_touch:
             # On one socket, home_socket() returns 0 *without* claiming
             # the page, so every access stays a billed first touch — the
             # fused path must not claim either; it applies only to real
             # NUMA systems (the n_sockets > 1 gate in __init__).
-            if accessor < 0 or accessor >= placement.n_sockets:
-                placement.home_socket(addr, accessor)  # canonical range error
-            page = addr // placement.page_size
-            home = placement._page_home.get(page)
+            if accessor < 0 or accessor >= n_sockets:
+                self.home_socket(addr, accessor)  # canonical range error
+            page = addr // self.page_size
+            home = self.page_home.get(page)
             self.n_translations += 1
             if home is None:
                 self.n_faults += 1
-                placement._page_home[page] = accessor
-                placement.stats.add("migrations")
+                self.page_home[page] = accessor
+                self.placement_stats.add("migrations")
                 return accessor, self.migration_latency
             return home, 0
-        if self._dynamic and placement.n_sockets > 1:
-            if accessor < 0 or accessor >= placement.n_sockets:
-                placement.home_socket(addr, accessor)  # canonical range error
-            home, extra = self._policy.touch(addr, accessor, is_write)
+        policy = self.policy
+        if self._dynamic and n_sockets > 1:
+            if accessor < 0 or accessor >= n_sockets:
+                self.home_socket(addr, accessor)  # canonical range error
+            home, extra = policy.touch(addr, accessor, is_write)
             self.n_translations += 1
             if extra:
                 self.n_faults += 1
             return home, extra
         extra = 0
-        if placement.is_first_touch(addr):
+        if policy.is_first_touch(addr):
             extra = self.migration_latency
             self.n_faults += 1
-        home = placement.home_socket(addr, accessor)
+        if accessor < 0 or accessor >= n_sockets:
+            self.home_socket(addr, accessor)  # canonical range error
+        # Inlined home_socket(): one socket homes everything at 0
+        # without claiming.
+        home = 0 if n_sockets == 1 else policy.home_socket(addr, accessor)
         self.n_translations += 1
         return home, extra
 
@@ -161,16 +194,14 @@ class PageTable:
         the touch counters: write-back background traffic must not skew
         re-home decisions.
         """
-        placement = self.placement
-        if placement.n_sockets == 1:
+        if self.n_sockets == 1:
             return 0
+        policy = self.policy
         if self._dynamic:
-            return self._policy.peek(addr, accessor)
-        if placement.claims_pages:
-            return placement._page_home.get(
-                addr // placement.page_size, accessor
-            )
-        return placement.home_socket(addr, accessor)
+            return policy.peek(addr, accessor)
+        if policy.claims_pages:
+            return self.page_home.get(addr // self.page_size, accessor)
+        return policy.home_socket(addr, accessor)
 
     # ------------------------------------------------------------------
     # translation-cache registry
@@ -228,24 +259,29 @@ class PageTable:
     @property
     def migrations(self) -> int:
         """Pages migrated on first touch so far."""
-        return self.placement.migrations
+        return self.placement_stats["migrations"]
 
     @property
     def re_homed_pages(self) -> int:
         """Dynamic re-homes performed so far (zero for static policies)."""
-        return self.placement.re_homes
+        return self.placement_stats["re_homes"]
 
     # ------------------------------------------------------------------
     # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
     # ------------------------------------------------------------------
-    # The placement facade snapshots itself (it is shared wiring, not
-    # owned state here); the registered line caches belong to the sockets
-    # and are captured there.
+    # The placement policy and its stats are captured under the
+    # snapshot's own ``placement`` key (repro.sim.snapshot), so a fork
+    # can restore them per policy kind; ``page_home`` is the policy's
+    # table. The registered line caches belong to the sockets and are
+    # captured there.
     _SNAPSHOT_EXEMPT = (
-        "placement",
+        "policy",
+        "page_home",
+        "placement_stats",
+        "n_sockets",
+        "page_size",
         "migration_latency",
         "cacheable",
-        "_policy",
         "_dynamic",
         "_fused_first_touch",
         "_stats",
@@ -255,7 +291,7 @@ class PageTable:
     )
 
     def snapshot_state(self) -> dict:
-        """Translation counters (the policy state lives in Placement)."""
+        """Translation counters (the policy state is captured separately)."""
         return {
             "faults": self.n_faults,
             "translations": self.n_translations,

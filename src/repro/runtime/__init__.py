@@ -1,4 +1,4 @@
-"""The NUMA-aware GPU runtime: kernels, scheduling, launch, UVM, tenancy."""
+"""The NUMA-aware GPU runtime: kernels, launch, UVM, tenancy."""
 
 from repro.runtime.kernel import CtaBuilder, KernelWork
 from repro.runtime.launcher import Launcher
@@ -8,7 +8,6 @@ from repro.runtime.partitioning import (
     TenantResult,
     run_partitioned,
 )
-from repro.runtime.scheduler import assign_ctas
 from repro.runtime.uvm import UvmManager
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "PartitionPlan",
     "TenantResult",
     "run_partitioned",
-    "assign_ctas",
     "UvmManager",
 ]

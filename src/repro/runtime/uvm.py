@@ -36,23 +36,24 @@ class UvmManager:
         mirroring CUDA's behaviour of not re-migrating resident pages here.
         Returns the number of pages newly pinned.
         """
-        placement = self.page_table.placement
-        if not placement.claims_pages:
+        page_table = self.page_table
+        if not page_table.policy.claims_pages:
             # Arithmetic policies compute homes; there is nothing to pin.
             return 0
-        if socket < 0 or socket >= placement.n_sockets:
+        if socket < 0 or socket >= page_table.n_sockets:
             raise PlacementError(f"prefetch target socket {socket} out of range")
-        page_size = placement.page_size
+        page_size = page_table.page_size
+        page_home = page_table.page_home
         first = start // page_size
         last = (start + max(nbytes, 1) - 1) // page_size
         pinned = 0
         for page in range(first, last + 1):
-            if page not in placement._page_home:
-                placement._page_home[page] = socket
+            if page not in page_home:
+                page_home[page] = socket
                 # Re-homing a page must drop any cached line translations
                 # (a no-op for never-touched pages, but it keeps the
                 # invariant that pinning and caching can never disagree).
-                self.page_table.invalidate_page(page)
+                page_table.invalidate_page(page)
                 pinned += 1
         self.stats.add("pages_prefetched", pinned)
         return pinned

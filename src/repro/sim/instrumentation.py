@@ -17,7 +17,7 @@ suite's tally reflects *all* processes, not just parent-side runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

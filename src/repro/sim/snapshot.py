@@ -96,14 +96,18 @@ class SimSnapshot:
                 "pause boundary before capture"
             )
         fabric = system.fabric
+        page_table = system.page_table
         payload = {
             "version": SNAPSHOT_VERSION,
             "config_digest": config_digest(system.config),
             "engine": system.engine.snapshot_state(),
             "launcher": launcher.snapshot_state(),
-            "page_table": system.page_table.snapshot_state(),
-            "placement": system.page_table.placement.snapshot_state(),
-            "placement_kind": system.page_table.placement.kind,
+            "page_table": page_table.snapshot_state(),
+            "placement": {
+                "stats": page_table.placement_stats.snapshot_state(),
+                "policy": page_table.policy.snapshot_state(),
+            },
+            "placement_kind": page_table.policy.kind,
             "fabric": None if fabric is None else fabric.snapshot_state(),
             "sockets": [
                 socket.snapshot_state() for socket in system.sockets
@@ -169,17 +173,18 @@ class SimSnapshot:
                     f"{captured}, target is {target}"
                 )
         system.engine.restore_state(payload["engine"])
-        system.page_table.restore_state(payload["page_table"])
-        placement = system.page_table.placement
-        if not fork or placement.kind == payload["placement_kind"]:
-            placement.restore_state(payload["placement"])
+        page_table = system.page_table
+        page_table.restore_state(payload["page_table"])
+        placement = payload["placement"]
+        page_table.placement_stats.restore_state(placement["stats"])
+        if not fork or page_table.policy.kind == payload["placement_kind"]:
+            page_table.policy.restore_state(placement["policy"])
         else:
             # Cross-kind branch: the page->home table and the shared
             # placement stats are policy-independent facts about the
             # warmup prefix; policy-private counters are not.
-            placement.stats.restore_state(payload["placement"]["stats"])
-            placement.policy_obj.restore_state(
-                {"page_home": payload["placement"]["policy"]["page_home"]}
+            page_table.policy.restore_state(
+                {"page_home": placement["policy"]["page_home"]}
             )
         if fabric_state is not None:
             system.fabric.restore_state(fabric_state)

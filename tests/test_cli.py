@@ -187,15 +187,6 @@ def test_run_command_with_locality_policies(capsys):
     assert "re_homed_pages" in out
 
 
-def test_run_command_round_robin_alias(capsys):
-    code = main([
-        "run", "Lonestar-SP", "--sockets", "2", "--scale", "tiny",
-        "--cta-policy", "round_robin",
-    ])
-    assert code == 0
-    assert "/round_robin/" in capsys.readouterr().out
-
-
 def test_topology_describe_distances(capsys):
     assert main([
         "topology", "describe", "ring", "--sockets", "4", "--distances",

@@ -27,17 +27,10 @@ from repro.locality import (
     DistanceModel,
     PlacementSpec,
 )
-from repro.locality.cta import (
-    ContiguousCta,
-    DistanceAffineCta,
-    RoundRobinCta,
-    resolve_cta_policy,
-)
+from repro.locality.cta import ContiguousCta, DistanceAffineCta
 from repro.memory.page_table import PageTable
-from repro.memory.placement import Placement
 from repro.metrics.export import result_from_json_dict, result_to_json_dict
 from repro.runtime.kernel import KernelWork
-from repro.runtime.scheduler import assign_ctas
 from repro.gpu.cta import MemOp, Slice
 from repro.gpu.socket import _LineRec
 from repro.topology.spec import build_topology, mesh2d, switch_tree
@@ -138,8 +131,9 @@ def test_registries_cover_declared_kinds():
 def test_specs_reject_unknown_kinds():
     with pytest.raises(ConfigError):
         PlacementSpec(kind="telepathy")
-    with pytest.raises(ConfigError):
-        CtaSpec(kind="telepathy")
+    for kind in ("telepathy", "round_robin"):
+        with pytest.raises(ConfigError):
+            CtaSpec(kind=kind)
     with pytest.raises(ConfigError):
         PlacementSpec(touch_window=1)
 
@@ -180,23 +174,14 @@ def test_single_gpu_config_drops_locality_specs():
 def test_legacy_placement_facade_unchanged():
     cfg = replace(scaled_config(n_sockets=4),
                   placement=PlacementPolicy.FIRST_TOUCH)
-    placement = Placement(cfg)
-    assert placement.kind == "first_touch"
-    assert placement.policy is PlacementPolicy.FIRST_TOUCH
-    assert placement.home_socket(0, accessor=2) == 2
-    assert placement.home_socket(64, accessor=0) == 2
-    assert placement.migrations == 1
-    assert placement.cacheable and placement.claims_pages
-    assert not placement.dynamic
-
-
-def test_new_kind_has_no_enum_view():
-    placement = Placement(
-        locality_config(placement="distance_weighted_first_touch")
-    )
-    assert placement.policy is None
-    assert placement.kind == "distance_weighted_first_touch"
-    assert placement.dynamic and not placement.cacheable
+    table = PageTable(cfg)
+    policy = table.policy
+    assert policy.kind == "first_touch"
+    assert table.home_socket(0, accessor=2) == 2
+    assert table.home_socket(64, accessor=0) == 2
+    assert table.migrations == 1
+    assert policy.cacheable and policy.claims_pages
+    assert not policy.dynamic
 
 
 def test_dwft_claims_like_first_touch():
@@ -219,9 +204,8 @@ def test_dwft_re_homes_to_majority_toucher():
     table.translate(0, accessor=0)  # socket 0 claims the page
     for _ in range(200):
         table.translate(0, accessor=2)
-    placement = table.placement
-    assert placement._page_home[0] == 2
-    assert placement.re_homes == 1
+    assert table.page_home[0] == 2
+    assert table.policy.re_homes == 1
     assert table.re_homed_pages == 1
     # Subsequent touches see the new home with no further charge.
     home, extra = table.translate(0, accessor=2)
@@ -238,7 +222,7 @@ def test_dwft_amortization_guard_blocks_marginal_moves():
     # A handful of remote touches is not worth a page copy.
     for _ in range(6):
         table.translate(0, accessor=2)
-    assert table.placement._page_home[0] == 0
+    assert table.page_home[0] == 0
     assert table.re_homed_pages == 0
 
 
@@ -256,7 +240,7 @@ def test_dwft_respects_migration_cap():
     for _ in range(400):
         table.translate(0, accessor=3)
     assert table.re_homed_pages == 1  # capped after the first move
-    assert table.placement._page_home[0] == 2
+    assert table.page_home[0] == 2
 
 
 def test_dwft_tolerates_prefetched_pages():
@@ -270,12 +254,12 @@ def test_dwft_tolerates_prefetched_pages():
         )
     )
     uvm = UvmManager(table)
-    assert uvm.prefetch(0, table.placement.page_size, socket=1) == 1
+    assert uvm.prefetch(0, table.page_size, socket=1) == 1
     home, extra = table.translate(0, accessor=3)
     assert home == 1 and extra == 0  # pinned, no first-touch charge
     for _ in range(200):
         table.translate(0, accessor=3)
-    assert table.placement._page_home[0] == 3  # majority re-home works
+    assert table.page_home[0] == 3  # majority re-home works
 
 
 def test_access_counter_migration_threshold():
@@ -424,30 +408,13 @@ def test_dynamic_policy_disables_translation_cache_fill():
 # CTA policies
 # ---------------------------------------------------------------------------
 
-def test_contiguous_and_round_robin_match_legacy_assign():
-    assert assign_ctas(10, 4, CtaPolicy.CONTIGUOUS) == [
+def test_contiguous_and_interleaved_blocks():
+    assert CTA_POLICIES["contiguous"]().assign(10, range(4)) == [
         [0, 1, 2], [3, 4, 5], [6, 7], [8, 9]
     ]
-    assert assign_ctas(10, 4, CtaPolicy.INTERLEAVED) == [
+    assert CTA_POLICIES["interleaved"]().assign(10, range(4)) == [
         [0, 4, 8], [1, 5, 9], [2, 6], [3, 7]
     ]
-    # Registry names resolve too (round_robin is the canonical alias).
-    assert assign_ctas(10, 4, "round_robin") == assign_ctas(
-        10, 4, CtaPolicy.INTERLEAVED
-    )
-
-
-def test_resolve_cta_policy_accepts_enum_string_and_object():
-    assert isinstance(resolve_cta_policy(CtaPolicy.CONTIGUOUS), ContiguousCta)
-    assert isinstance(resolve_cta_policy("interleaved"), RoundRobinCta)
-    policy = DistanceAffineCta()
-    assert resolve_cta_policy(policy) is policy
-    with pytest.raises(ConfigError):
-        resolve_cta_policy("telepathy")
-    # An unwired affine policy would silently degrade to contiguous, so
-    # the name path refuses it (the system builder wires it properly).
-    with pytest.raises(ConfigError):
-        resolve_cta_policy("distance_affine")
 
 
 def test_read_csv_tolerates_pre_locality_columns(tmp_path):
@@ -494,7 +461,7 @@ def test_distance_affine_co_locates_ctas_with_their_pages():
     table = PageTable(config)
     page_size = config.page_size
     # Pages 0,1 at socket 2; pages 2,3 at socket 0.
-    table.placement._page_home.update({0: 2, 1: 2, 2: 0, 3: 0})
+    table.page_home.update({0: 2, 1: 2, 2: 0, 3: 0})
     policy = DistanceAffineCta(
         table, DistanceModel.from_spec(config.topology)
     )
@@ -524,15 +491,16 @@ def test_distance_affine_falls_back_to_contiguous_without_homes():
     )
 
 
-def test_launcher_accepts_policy_objects_and_enums():
+def test_launcher_holds_the_policy_object_it_is_given():
     from repro.runtime.launcher import Launcher
     from repro.sim.engine import Engine
 
+    policy = ContiguousCta()
     launcher = Launcher(
         engine=Engine(), sockets=[], kernels=[],
-        cta_policy=CtaPolicy.CONTIGUOUS, launch_latency=1,
+        cta_policy=policy, launch_latency=1,
     )
-    assert isinstance(launcher.cta_policy, ContiguousCta)
+    assert launcher.cta_policy is policy
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +514,11 @@ def test_first_touch_stats_agree_with_edge_stats(kind):
     system = build_system(config)
     kernels = get_workload("Rodinia-BFS").build_kernels(SCALES["tiny"])
     result = system.run(kernels, workload_name="bfs")
-    placement = system.page_table.placement
+    table = system.page_table
 
-    # Migration accounting: every claimed page is one counted migration,
-    # and the per-socket pages_on split tiles the claims exactly.
-    assert result.migrations == placement.migrations
-    assert result.migrations == len(placement._page_home)
-    assert sum(placement.pages_on(s) for s in range(4)) == result.migrations
+    # Migration accounting: every claimed page is one counted migration.
+    assert result.migrations == table.migrations
+    assert result.migrations == len(table.page_home)
 
     # Local/remote split: the socket counters the run reports are the
     # same totals the placement handed out.
@@ -733,7 +699,7 @@ def test_distance_affine_prefers_bandwidth_over_raw_hops():
     )
     config = locality_config(n_sockets=2)
     table = PageTable(config)
-    table.placement._page_home.update({0: 0, 1: 0})
+    table.page_home.update({0: 0, 1: 0})
     policy = DistanceAffineCta(table, model)
     kernel = _kernel_touching(
         {cta: [0, 1] for cta in range(3)}, config.page_size
@@ -774,10 +740,8 @@ def test_placement_registry_catalogue_is_exactly_the_known_kinds():
 
 def test_cta_registry_catalogue_is_exactly_the_known_kinds():
     assert set(CTA_POLICIES) == {
-        "contiguous", "round_robin", "interleaved", "distance_affine",
+        "contiguous", "interleaved", "distance_affine",
     }
-    # "interleaved" is the historical alias of round_robin.
-    assert CTA_POLICIES["interleaved"] is CTA_POLICIES["round_robin"]
 
 
 @pytest.mark.parametrize("kind", sorted(PAGE_POLICIES))

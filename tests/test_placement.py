@@ -6,13 +6,13 @@ from dataclasses import replace
 
 from repro.config import PlacementPolicy, scaled_config
 from repro.errors import PlacementError
+from repro.locality import PLACEMENT_KINDS, PlacementSpec
 from repro.memory.page_table import PageTable
-from repro.memory.placement import Placement
 
 
 def make_placement(policy, n_sockets=4):
     cfg = replace(scaled_config(n_sockets=n_sockets), placement=policy)
-    return Placement(cfg)
+    return PageTable(cfg)
 
 
 def test_local_only_always_socket_zero():
@@ -28,14 +28,14 @@ def test_single_socket_always_local():
 
 def test_fine_interleave_strides_at_granularity():
     placement = make_placement(PlacementPolicy.FINE_INTERLEAVE)
-    gran = placement.granularity
+    gran = placement.policy.granularity
     homes = [placement.home_socket(i * gran, accessor=0) for i in range(8)]
     assert homes == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_fine_interleave_same_block_same_home():
     placement = make_placement(PlacementPolicy.FINE_INTERLEAVE)
-    gran = placement.granularity
+    gran = placement.policy.granularity
     assert placement.home_socket(0, 0) == placement.home_socket(gran - 1, 0)
 
 
@@ -49,7 +49,7 @@ def test_page_interleave_strides_by_page():
 def test_interleave_remote_fraction_is_three_quarters():
     """75% of fine-interleaved accesses are remote in a 4-GPU system (§3)."""
     placement = make_placement(PlacementPolicy.FINE_INTERLEAVE)
-    gran = placement.granularity
+    gran = placement.policy.granularity
     remote = sum(
         1 for i in range(1000) if placement.home_socket(i * gran, 0) != 0
     )
@@ -73,33 +73,30 @@ def test_first_touch_counts_migrations_once_per_page():
 
 def test_is_first_touch():
     placement = make_placement(PlacementPolicy.FIRST_TOUCH)
-    assert placement.is_first_touch(0)
+    assert placement.policy.is_first_touch(0)
     placement.home_socket(0, 1)
-    assert not placement.is_first_touch(0)
+    assert not placement.policy.is_first_touch(0)
 
 
 def test_is_first_touch_false_for_other_policies():
     placement = make_placement(PlacementPolicy.PAGE_INTERLEAVE)
-    assert not placement.is_first_touch(0)
-
-
-def test_pages_on_socket():
-    placement = make_placement(PlacementPolicy.FIRST_TOUCH)
-    page = placement.page_size
-    placement.home_socket(0 * page, 1)
-    placement.home_socket(1 * page, 1)
-    placement.home_socket(2 * page, 2)
-    assert placement.pages_on(1) == 2
-    assert placement.pages_on(2) == 1
-    assert placement.pages_on(0) == 0
+    assert not placement.policy.is_first_touch(0)
 
 
 def test_accessor_out_of_range():
-    placement = make_placement(PlacementPolicy.FIRST_TOUCH)
-    with pytest.raises(PlacementError):
-        placement.home_socket(0, accessor=4)
-    with pytest.raises(PlacementError):
-        placement.home_socket(0, accessor=-1)
+    # Every translate() path (fused first touch, dynamic, generic, one
+    # socket) raises the same range error as home_socket().
+    for kind in PLACEMENT_KINDS:
+        for n_sockets in (1, 4):
+            table = PageTable(replace(
+                scaled_config(n_sockets=n_sockets),
+                placement_spec=PlacementSpec(kind=kind),
+            ))
+            for accessor in (n_sockets, -1):
+                with pytest.raises(PlacementError):
+                    table.home_socket(0, accessor=accessor)
+                with pytest.raises(PlacementError):
+                    table.translate(0, accessor=accessor)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.config import CacheConfig, CtaPolicy, LINE_SIZE, LinkConfig, scaled_config
 from repro.interconnect.link import Direction, DuplexLink
 from repro.memory.cache import NumaClass, SetAssocCache
-from repro.memory.placement import Placement
-from repro.runtime.scheduler import assign_ctas
+from repro.locality.cta import CTA_POLICIES
+from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
 from repro.sim.resource import BandwidthResource, UtilizationWindow
 from repro.workloads.patterns import (
@@ -139,7 +139,7 @@ def test_lane_conservation_under_random_turns(data):
     st.sampled_from(list(CtaPolicy)),
 )
 def test_cta_assignment_is_a_partition(n_ctas, n_sockets, policy):
-    blocks = assign_ctas(n_ctas, n_sockets, policy)
+    blocks = CTA_POLICIES[policy.value]().assign(n_ctas, range(n_sockets))
     flat = sorted(i for block in blocks for i in block)
     assert flat == list(range(n_ctas))
     sizes = [len(b) for b in blocks]
@@ -155,7 +155,7 @@ def test_placement_is_deterministic_and_in_range(addr, accessor):
 
         from repro.config import PlacementPolicy
 
-        placement = Placement(
+        placement = PageTable(
             replace(cfg, placement=PlacementPolicy[policy_name])
         )
         home1 = placement.home_socket(addr, accessor)

@@ -1,4 +1,4 @@
-"""Unit tests for the runtime: scheduler, kernels, launcher, UVM."""
+"""Unit tests for the runtime: CTA assignment, kernels, launcher, UVM."""
 
 import pytest
 
@@ -8,29 +8,29 @@ from repro.config import CtaPolicy, PlacementPolicy, scaled_config
 from repro.core.builder import build_system
 from repro.errors import RuntimeLaunchError
 from repro.gpu.cta import MemOp, Slice
+from repro.locality.cta import CTA_POLICIES
 from repro.runtime.kernel import KernelWork
 from repro.runtime.launcher import Launcher
-from repro.runtime.scheduler import assign_ctas
 from repro.runtime.uvm import UvmManager
 
 
 # ---------------------------------------------------------------------------
-# scheduler
+# CTA assignment
 # ---------------------------------------------------------------------------
 
 def test_contiguous_blocks():
-    blocks = assign_ctas(8, 4, CtaPolicy.CONTIGUOUS)
+    blocks = CTA_POLICIES["contiguous"]().assign(8, range(4))
     assert blocks == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
 
 def test_interleaved_modulo():
-    blocks = assign_ctas(8, 4, CtaPolicy.INTERLEAVED)
+    blocks = CTA_POLICIES["interleaved"]().assign(8, range(4))
     assert blocks == [[0, 4], [1, 5], [2, 6], [3, 7]]
 
 
 def test_uneven_counts_balanced_within_one():
     for policy in CtaPolicy:
-        blocks = assign_ctas(10, 4, policy)
+        blocks = CTA_POLICIES[policy.value]().assign(10, range(4))
         sizes = [len(b) for b in blocks]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 10
@@ -38,34 +38,34 @@ def test_uneven_counts_balanced_within_one():
 
 def test_every_cta_assigned_exactly_once():
     for policy in CtaPolicy:
-        blocks = assign_ctas(37, 3, policy)
+        blocks = CTA_POLICIES[policy.value]().assign(37, range(3))
         flat = sorted(i for block in blocks for i in block)
         assert flat == list(range(37))
 
 
 def test_single_socket_gets_everything():
-    assert assign_ctas(5, 1, CtaPolicy.CONTIGUOUS) == [[0, 1, 2, 3, 4]]
+    assert CTA_POLICIES["contiguous"]().assign(5, range(1)) == [[0, 1, 2, 3, 4]]
 
 
 def test_fewer_ctas_than_sockets():
-    blocks = assign_ctas(2, 4, CtaPolicy.CONTIGUOUS)
+    blocks = CTA_POLICIES["contiguous"]().assign(2, range(4))
     assert [len(b) for b in blocks] == [1, 1, 0, 0]
 
 
 def test_contiguous_blocks_are_contiguous():
-    blocks = assign_ctas(100, 4, CtaPolicy.CONTIGUOUS)
+    blocks = CTA_POLICIES["contiguous"]().assign(100, range(4))
     for block in blocks:
         assert block == list(range(block[0], block[0] + len(block)))
 
 
 def test_zero_ctas_rejected():
     with pytest.raises(RuntimeLaunchError):
-        assign_ctas(0, 4, CtaPolicy.CONTIGUOUS)
+        CTA_POLICIES["contiguous"]().assign(0, range(4))
 
 
 def test_zero_sockets_rejected():
     with pytest.raises(RuntimeLaunchError):
-        assign_ctas(4, 0, CtaPolicy.CONTIGUOUS)
+        CTA_POLICIES["contiguous"]().assign(4, range(0))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_retranslation_after_invalidation_sees_new_home():
     engine.run()
     assert s0._lines[0].home == 0
     page = 0
-    table.placement._page_home[page] = 1  # the migration itself
+    table.page_home[page] = 1  # the migration itself
     table.invalidate_page(page)
     s0.access(0, 0, False, lambda: None)
     engine.run()
