@@ -34,8 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from pathlib import Path
 
+from bench_history import BENCH_PATH, append_history
 from repro.core.builder import run_workload_on
 from repro.harness.checkpoint import resume_snapshot, warmup_snapshot
 from repro.harness.experiments import LOCALITY_POLICIES
@@ -43,8 +43,6 @@ from repro.harness.runner import ExperimentContext
 from repro.metrics.export import result_to_json_dict
 from repro.workloads.spec import SCALES
 from repro.workloads.suite import get_workload
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 
 def canonical(result) -> str:
@@ -121,36 +119,6 @@ def run_bench(scale_name: str, workload: str, kind: str, n_sockets: int,
     }
 
 
-def append_history(record: dict, label: str) -> None:
-    """Append the fork measurement to BENCH_hotpath.json's history."""
-    bench = {}
-    if BENCH_PATH.exists():
-        try:
-            bench = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            bench = {}
-    history = bench.setdefault("history", [])
-    history.append(
-        {
-            "label": label,
-            "source": "fork-bench (shared warmup vs per-cell, serial)",
-            "scale": record["scale"],
-            "fork_cells": {
-                f"{record['workload']}/{record['kind']}/"
-                f"{record['sockets']}s": {
-                    "cells": record["cells"],
-                    "pause_after": record["pause_after"],
-                    "per_cell_seconds": record["per_cell_seconds"],
-                    "shared_seconds": record["shared_seconds"],
-                    "fork_speedup": record["fork_speedup"],
-                }
-            },
-            "recorded_at": time.strftime("%Y-%m-%d"),
-        }
-    )
-    BENCH_PATH.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -190,7 +158,18 @@ def main(argv: list[str] | None = None) -> int:
         "re-simulated somewhere"
     )
     if args.append_history:
-        append_history(record, args.append_history)
+        append_history(args.append_history, {
+            "source": "fork-bench (shared warmup vs per-cell, serial)",
+            "scale": record["scale"],
+            "fork_cells": {
+                f"{record['workload']}/{record['kind']}/"
+                f"{record['sockets']}s": {
+                    key: record[key]
+                    for key in ("cells", "pause_after", "per_cell_seconds",
+                                "shared_seconds", "fork_speedup")
+                }
+            },
+        })
         print(f"history += {args.append_history!r} -> {BENCH_PATH.name}")
     print(
         f"OK: {record['cells']} branches byte-identical across modes, "

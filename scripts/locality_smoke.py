@@ -32,8 +32,8 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from pathlib import Path
 
+from bench_history import BENCH_PATH, append_history
 from repro.harness import experiments as E
 from repro.harness.parallel import ParallelRunner, resolve_jobs
 from repro.harness.runner import ExperimentContext
@@ -41,7 +41,6 @@ from repro.sim.instrumentation import SIM_TALLY
 from repro.workloads.spec import SCALES
 from repro.workloads.suite import COMPACT_SET
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 #: The headline policy pairing the acceptance gate is about.
 SMOKE_POLICIES = (("distance_weighted_first_touch", "distance_affine"),)
@@ -179,30 +178,6 @@ def run_smoke(scale: str, jobs: int, kinds: tuple[str, ...],
     }
 
 
-def append_history(record: dict, label: str) -> None:
-    """Append the smoke measurement to BENCH_hotpath.json's history."""
-    bench = {}
-    if BENCH_PATH.exists():
-        try:
-            bench = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            bench = {}
-    history = bench.setdefault("history", [])
-    history.append(
-        {
-            "label": label,
-            "source": "locality-smoke (cold, serial)",
-            "scale": record["scale"],
-            "events": record["events"],
-            "events_per_second": record["events_per_second"],
-            "locality_cells": record["cells"],
-            "acm_read_shared_filter": record["acm_read_shared_filter"],
-            "recorded_at": time.strftime("%Y-%m-%d"),
-        }
-    )
-    BENCH_PATH.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -237,7 +212,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.append_history:
         if not record["events"]:
             parser.error("--append-history needs a serial run (--jobs 1)")
-        append_history(record, args.append_history)
+        append_history(args.append_history, {
+            "source": "locality-smoke (cold, serial)",
+            "scale": record["scale"],
+            "events": record["events"],
+            "events_per_second": record["events_per_second"],
+            "locality_cells": record["cells"],
+            "acm_read_shared_filter": record["acm_read_shared_filter"],
+        })
         print(f"history += {args.append_history!r} -> {BENCH_PATH.name}")
     print(
         f"OK: {len(record['cells'])} locality cells verified on "

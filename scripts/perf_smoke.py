@@ -63,17 +63,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from pathlib import Path
 
+from bench_history import BENCH_PATH, append_history as write_history
 from repro.config import CacheArch
 from repro.core.builder import run_workload_on
 from repro.harness.runner import ExperimentContext
 from repro.sim.instrumentation import SIM_TALLY
 from repro.workloads.spec import SCALES
 from repro.workloads.suite import get_workload
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 #: The fixed probe mix: three behaviour profiles x the two extreme cache
 #: organizations, tiny scale by default. Small enough for CI, large
@@ -173,27 +170,18 @@ def append_history(
     ``events_per_second`` — different simulation mixes must not gate
     each other.
     """
-    bench = {}
-    if BENCH_PATH.exists():
-        try:
-            bench = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            bench = {}
-    history = bench.setdefault("history", [])
     entry = {
-        "label": label,
         "source": source,
         "scale": record["scale"],
         "events": record["events"],
         "events_per_second": record["events_per_second"],
-        "recorded_at": time.strftime("%Y-%m-%d"),
     }
     if "topology" in record:
         entry["topology"] = record["topology"]
-    history.append(entry)
+    gate = None
     if set_gate and record["scale"] == "tiny":
-        bench[gate_key] = record["events_per_second"]
-    BENCH_PATH.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+        gate = (gate_key, record["events_per_second"])
+    write_history(label, entry, gate=gate, path=BENCH_PATH)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from pathlib import Path
 
+from bench_history import BENCH_PATH, append_history
 from repro.harness.parallel import ParallelRunner, RunTask, resolve_jobs
 from repro.harness.runner import ExperimentContext
 from repro.sim.instrumentation import SIM_TALLY
@@ -39,7 +39,6 @@ from repro.topology.routing import compute_routes
 from repro.workloads.spec import SCALES
 from repro.workloads.suite import COMPACT_SET
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 #: The smoke grid: every multi-hop shape the subsystem introduces —
 #: ring, 2-D mesh, and chiplet tree — at the socket counts CI can
@@ -127,28 +126,6 @@ def run_smoke(scale: str, jobs: int) -> dict:
     }
 
 
-def append_history(record: dict, label: str) -> None:
-    """Append the smoke measurement to BENCH_hotpath.json's history."""
-    bench = {}
-    if BENCH_PATH.exists():
-        try:
-            bench = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            bench = {}
-    history = bench.setdefault("history", [])
-    history.append(
-        {
-            "label": label,
-            "source": "topology-smoke (cold, serial)",
-            "scale": record["scale"],
-            "events": record["events"],
-            "events_per_second": record["events_per_second"],
-            "recorded_at": time.strftime("%Y-%m-%d"),
-        }
-    )
-    BENCH_PATH.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -172,7 +149,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.append_history:
         if not record["events"]:
             parser.error("--append-history needs a serial run (--jobs 1)")
-        append_history(record, args.append_history)
+        append_history(args.append_history, {
+            "source": "topology-smoke (cold, serial)",
+            "scale": record["scale"],
+            "events": record["events"],
+            "events_per_second": record["events_per_second"],
+        })
         print(f"history += {args.append_history!r} -> {BENCH_PATH.name}")
     print(
         f"OK: {record['checked']} multi-hop runs verified on "

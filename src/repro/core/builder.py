@@ -21,6 +21,7 @@ so one entry is enough for the memo to hit on every cell of a group;
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from repro.config import (
@@ -155,13 +156,25 @@ def run_workload_on(
     read-only, so they are shared across consecutive runs of the same
     workload+scale (see module docstring). ``tracer`` /
     ``metrics_interval`` thread through to :func:`build_system`.
+
+    The system is closed once its result is collected, so its per-line
+    state dies by refcount; cyclic GC stays paused for the whole cell
+    (build, drain, collect, close) and is restored even when the cell
+    raises. See DESIGN.md, "System lifetime".
     """
-    result, _ = run_workload_traced(
-        config, workload, scale,
-        record_timelines=record_timelines,
-        tracer=tracer,
-        metrics_interval=metrics_interval,
-    )
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result, system = run_workload_traced(
+            config, workload, scale,
+            record_timelines=record_timelines,
+            tracer=tracer,
+            metrics_interval=metrics_interval,
+        )
+        system.close()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return result
 
 

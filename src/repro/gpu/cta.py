@@ -116,6 +116,9 @@ class CtaExecution:
         self._slice_idx += 1
         if self._slice_idx >= len(self._slices):
             self._done = True
+            # The prebound callback is a self-cycle; dropping it lets a
+            # finished CTA die by refcount instead of waiting for GC.
+            self._compute_cb = None
             self.on_complete(self)
             return
         current = self._slices[self._slice_idx]

@@ -746,6 +746,28 @@ class GpuSocket:
         return remote / total if total else 0.0
 
     # ------------------------------------------------------------------
+    # teardown (DESIGN.md, "System lifetime")
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Drop the per-line state of a finished run; counters stay.
+
+        Closes the pooled walkers, the L1s and the L2, and clears the
+        line-record dict in place (the page table holds it). Walker
+        pools, the record dict and the waiter pool become ``None``, so
+        a later access fails loudly. Both burst variants share this.
+        """
+        for pool in (self._read_pool, self._write_pool):
+            for walker in pool:
+                walker.close()
+            pool.clear()
+        self._lines.clear()
+        for l1 in self._l1s:
+            l1.close()
+        self.l2.close()
+        self._read_pool = self._write_pool = self._waiter_pool = None
+        self._lines = None
+
+    # ------------------------------------------------------------------
     # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
     # ------------------------------------------------------------------
     # Wiring, hoisted invariants, pooled walkers, and the sub-kernel

@@ -14,7 +14,7 @@ import time
 from repro.config import CacheArch, SystemConfig
 from repro.core.link_policy import build_balancers
 from repro.core.numa_cache import CachePartitionController
-from repro.errors import SnapshotError
+from repro.errors import SimulationError, SnapshotError
 from repro.gpu.socket import make_socket
 from repro.locality.cta import build_cta_policy
 from repro.locality.distance import DistanceModel
@@ -122,6 +122,8 @@ class NumaGpuSystem:
         if self.metrics is not None:
             _wire_default_metrics(self.metrics, self)
         self._launcher: Launcher | None = None
+        #: True once :meth:`close` dropped the per-line state.
+        self.closed = False
 
     # ------------------------------------------------------------------
     # observability (DESIGN.md, "Observability contract")
@@ -162,6 +164,8 @@ class NumaGpuSystem:
         pause_after: int | None = None,
     ) -> None:
         """Build the launcher (optionally restored) and drain the engine."""
+        if self.closed:
+            raise SimulationError("cannot run a closed system; build a new one")
         self._launcher = Launcher(
             engine=self.engine,
             sockets=self.sockets,
@@ -189,6 +193,7 @@ class NumaGpuSystem:
         wall_start = time.perf_counter()  # repro-lint: disable=determinism
         # The drain allocates millions of short-lived tuples and no cycles;
         # generational GC passes during the run are pure overhead (~15%).
+        # run_workload_on already holds the pause for its whole cell.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -202,6 +207,26 @@ class NumaGpuSystem:
             self.engine.now,
             time.perf_counter() - wall_start,  # repro-lint: disable=determinism
         )
+
+    # ------------------------------------------------------------------
+    # teardown (DESIGN.md, "System lifetime")
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Free the per-line state of a finished run; no run may follow.
+
+        The sockets close their caches, line records and pooled walkers,
+        breaking the reference cycles that would otherwise keep them
+        alive until a full collection; only the small system skeleton is
+        left for the collector. Counters, ``StatGroup``s and everything
+        :func:`~repro.metrics.report.collect_results` reads stay intact,
+        so call this after collecting the result. ``run``, ``run_prefix``
+        and ``resume`` raise on a closed system; closing twice is a no-op.
+        """
+        if self.closed:
+            return
+        for socket in self.sockets:
+            socket.close()
+        self.closed = True
 
     # ------------------------------------------------------------------
     # checkpointed execution (DESIGN.md, "Snapshot & resume contract")

@@ -73,7 +73,8 @@ def warmup_snapshot(
     """Run a warmup prefix once and capture it at the kernel boundary.
 
     Returns ``(snapshot, kernels)``; hand both to
-    :func:`resume_snapshot` for each branch. The kernel list carries
+    :func:`resume_snapshot` for each branch. The snapshot is a value, so
+    the warmup system is closed once it is captured. The kernel list carries
     pre-materialized CTA slices (pure functions of workload and scale),
     so branches share traces exactly as consecutive cold runs do.
     Raises :class:`~repro.errors.SnapshotError` when the config is
@@ -87,7 +88,9 @@ def warmup_snapshot(
             build(cta_index)
     system = build_system(config)
     system.run_prefix(kernels, pause_after=pause_after)
-    return SimSnapshot.capture(system), kernels
+    snapshot = SimSnapshot.capture(system)
+    system.close()
+    return snapshot, kernels
 
 
 def resume_snapshot(
@@ -100,12 +103,15 @@ def resume_snapshot(
 
     Builds a fresh system for ``config``, overlays the snapshot (fork
     mode engages automatically when the config digest differs from the
-    captured one), and drains the remaining kernels to completion.
+    captured one), drains the remaining kernels to completion, and
+    closes the branch system once its result is collected.
     """
     system = build_system(config)
     fork = config_digest(config) != snapshot.config_digest
     launcher_state = snapshot.restore_into(system, fork=fork)
-    return system.resume(kernels, launcher_state, workload_name=workload_name)
+    result = system.resume(kernels, launcher_state, workload_name=workload_name)
+    system.close()
+    return result
 
 
 def forked_results(

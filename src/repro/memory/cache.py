@@ -746,6 +746,30 @@ class SetAssocCache:
         return hits / total if total else 0.0
 
     # ------------------------------------------------------------------
+    # teardown (DESIGN.md, "System lifetime")
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Drop every frame of a finished cache; counters stay readable.
+
+        Each recency ring is a reference cycle (frames link their
+        neighbours and the sentinel), so every frame is unlinked first;
+        the frames then die by refcount with their sets. The tag index
+        is cleared in place because the page table and the miss walkers
+        hold the dict itself. The dropped structures become ``None``, so
+        any later probe or fill fails loudly.
+        """
+        for cache_set in self._sets:
+            if cache_set is not None:
+                for way in cache_set:
+                    if way is not None:
+                        way.prev = way.nxt = None
+        for sent in self._lru:
+            if sent is not None:
+                sent.prev = sent.nxt = None
+        self._where.clear()
+        self._sets = self._lru = self._where = None
+
+    # ------------------------------------------------------------------
     # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
     # ------------------------------------------------------------------
     # Geometry, the flatten-only StatGroup, and every structure that

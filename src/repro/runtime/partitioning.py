@@ -207,4 +207,5 @@ def run_partitioned(
     # the slowest tenant's launcher for kernel counts.
     system._launcher = launchers[0]
     result = collect_results(system, "+".join(w.name for w in workloads))
+    system.close()
     return result, tenants

@@ -204,6 +204,18 @@ class ReadPath:
         self.st_reply = self._stage_reply
         self.st_complete = self._stage_complete
 
+    def close(self) -> None:
+        """Break the walker's cycles; it cannot walk again.
+
+        Called on idle pooled walkers when their socket closes (DESIGN.md,
+        "System lifetime"): the prebound stages are self-references and
+        the pool and socket links lead back to the walker.
+        """
+        self.st_l2 = self.st_fill_local = self.st_serve = None
+        self.st_fill_respond = self.st_respond = self.st_reply = None
+        self.st_complete = None
+        self.pool = self.socket = None
+
     # ------------------------------------------------------------------
     # stages (each runs as one engine event, at its exact stepwise time)
     # ------------------------------------------------------------------
@@ -543,6 +555,11 @@ class WritePath:
         self.on_done = None
         self.st_l2 = self._stage_l2
         self.st_absorb = self._stage_absorb
+
+    def close(self) -> None:
+        """Break the walker's cycles (see :meth:`ReadPath.close`)."""
+        self.st_l2 = self.st_absorb = None
+        self.pool = self.socket = None
 
     def _stage_l2(self) -> None:
         """Write arrives at the requester L2 (stepwise ``_write_at_l2``)."""

@@ -12,12 +12,15 @@ against the *same* plans so the parity contract — identical failure
 reports in both modes — is tested directly rather than assumed.
 """
 
+import gc
 import os
 import signal
+import time
 
 import pytest
 
 from repro.errors import ExecutionError
+from repro.gpu.system import NumaGpuSystem
 from repro.harness import experiments as exp
 from repro.harness import faults
 from repro.harness.diskcache import ResultDiskCache
@@ -221,6 +224,34 @@ def test_hang_is_killed_and_retried(ctx, monkeypatch, jobs):
     assert hung.outcomes() == ["timeout", "ok"]
     assert "1.5" in hung.attempts[0].detail
     assert ctx._cache == fault_free_reference()
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("kind", ["timeout", "crash"])
+def test_serial_fault_inside_the_drain_lifts_the_gc_pause(
+        ctx, monkeypatch, kind):
+    # Injected faults fire before a cell starts; these fire mid-drain,
+    # inside the cell-wide GC pause, which must still be lifted.
+    drain = NumaGpuSystem._drain
+    calls = []
+
+    def faulty_drain(self):
+        calls.append(gc.isenabled())
+        if len(calls) == 1:
+            if kind == "timeout":
+                time.sleep(30)
+            raise InjectedCrash("crash inside the drain")
+        return drain(self)
+
+    monkeypatch.setattr(NumaGpuSystem, "_drain", faulty_drain)
+    policy = RetryPolicy(max_retries=1, base_delay=0.01, task_timeout=1.5)
+    runner = run_chaos(ctx, jobs=1, policy=policy)
+    report = runner.report
+    assert report.ok()
+    assert [t.outcomes() for t in report.tasks] == [[kind, "ok"]]
+    assert not any(calls)  # every drain ran with GC paused
+    assert gc.isenabled()
+    assert ctx._cache == fault_free_reference()
 
 
 def test_serial_and_parallel_reports_are_identical(monkeypatch):
@@ -234,6 +265,7 @@ def test_serial_and_parallel_reports_are_identical(monkeypatch):
     assert normalized(serial) == normalized(parallel)
     assert serial.executed == parallel.executed
     assert serial.ok() and parallel.ok()
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------
